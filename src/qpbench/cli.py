@@ -86,7 +86,8 @@ def _load_config(args) -> RunConfig:
 def _run_verify(args) -> int:
     results = run_all_checks()
     for result in results:
-        print(result.line())
+        # timings vary run to run, so they go to stdout, not the report
+        print(f"{result.line()} [{result.timing()}]")
     if args.out is not None:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

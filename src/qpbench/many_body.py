@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +25,8 @@ from .model_system import ModelSystem, core_hamiltonian
 
 _MAX_ELECTRONS = 4
 _MAX_DETERMINANTS = 20_000
+# determinant pairs per row block of the CI build, bounding its intermediates
+_PAIR_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,8 @@ class NBodyWavefunction:
 
     ``determinants`` holds sorted spin-orbital index tuples; ``coefficients``
     the expansion amplitudes.  The amplitude attached to any permuted tuple is
-    the sorted-tuple coefficient times the permutation sign.
+    the sorted-tuple coefficient times the permutation sign.  ``sz`` is the
+    total spin projection shared by every determinant.
     """
 
     n_electrons: int
@@ -53,6 +57,11 @@ class NBodyWavefunction:
     coefficients: np.ndarray
     basis: OrbitalBasis
     spin_labels: tuple
+    sz: float
+
+    @cached_property
+    def _positions(self) -> dict:
+        return {det: pos for pos, det in enumerate(self.determinants)}
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coefficients))
@@ -64,9 +73,8 @@ class NBodyWavefunction:
             return 0.0
         order = tuple(np.argsort(idx, kind="stable"))
         key = tuple(sorted(idx))
-        try:
-            pos = self.determinants.index(key)
-        except ValueError:
+        pos = self._positions.get(key)
+        if pos is None:
             return 0.0
         return _permutation_sign(order) * complex(self.coefficients[pos])
 
@@ -134,55 +142,75 @@ def enumerate_determinants(n_spin_orbitals: int, n_electrons: int, sz: float | N
     return tuple(dets)
 
 
-def _so_one_body(t: np.ndarray, p: int, q: int) -> float:
-    if (p ^ q) & 1:
-        return 0.0
-    return t[p >> 1, q >> 1]
-
-
-def _so_coulomb(v: np.ndarray, p: int, q: int, r: int, s: int) -> float:
-    if ((p ^ r) & 1) or ((q ^ s) & 1):
-        return 0.0
-    return v[p >> 1, q >> 1, r >> 1, s >> 1]
-
-
-def _hamiltonian_element(d1, d2, t, v) -> float:
-    """Slater-Condon matrix element between two sorted determinants."""
-    s1, s2 = set(d1), set(d2)
-    diff1 = sorted(s1 - s2)
-    ndiff = len(diff1)
-    if ndiff > 2:
-        return 0.0
-    if ndiff == 0:
-        val = sum(_so_one_body(t, p, p) for p in d1)
-        for p, q in itertools.combinations(d1, 2):
-            val += _so_coulomb(v, p, q, p, q) - _so_coulomb(v, p, q, q, p)
-        return val
-    diff2 = sorted(s2 - s1)
-    if ndiff == 1:
-        p, q = diff1[0], diff2[0]
-        sign = (-1) ** (d1.index(p) + d2.index(q))
-        val = _so_one_body(t, p, q)
-        for i in sorted(s1 & s2):
-            val += _so_coulomb(v, p, i, q, i) - _so_coulomb(v, p, i, i, q)
-        return sign * val
-    p1, p2 = diff1
-    q1, q2 = diff2
-    sign = (-1) ** (d1.index(p1) + d1.index(p2) + d2.index(q1) + d2.index(q2))
-    return sign * (
-        _so_coulomb(v, p1, p2, q1, q2) - _so_coulomb(v, p1, p2, q2, q1)
-    )
-
-
 def ci_hamiltonian(dets, t: np.ndarray, v: np.ndarray) -> np.ndarray:
-    n = len(dets)
-    h = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            val = _hamiltonian_element(dets[i], dets[j], t, v)
-            h[i, j] = val
-            h[j, i] = val
+    """Dense CI matrix over sorted spin-orbital determinants (Slater-Condon rules).
+
+    Pairs are classed by how many spin orbitals they differ in (0, 1 or 2;
+    more gives zero).  The spin-orbital integrals of each class are gathered
+    from the spatial ``t`` and ``v`` with spin masks, and each sign comes from
+    the positions of the differing orbitals in their sorted determinants, i.e.
+    the number of occupied orbitals below them.  Only the upper triangle is
+    evaluated, in row blocks, and mirrored.
+    """
+    n_det = len(dets)
+    h = np.zeros((n_det, n_det))
+    if n_det == 0:
+        return h
+    occupied = np.array(dets, dtype=np.intp).reshape(n_det, -1)
+    n = occupied.shape[1]
+    n_so = 2 * t.shape[0]
+    occ = np.zeros((n_det, n_so), dtype=bool)
+    occ[np.arange(n_det)[:, None], occupied] = True
+    occ_f = occ.astype(float)
+    spatial, spin = occupied >> 1, occupied & 1
+
+    diag = t[spatial, spatial].sum(axis=1)
+    for a, b in itertools.combinations(range(n), 2):
+        pa, pb = spatial[:, a], spatial[:, b]
+        diag += v[pa, pb, pa, pb] - (spin[:, a] == spin[:, b]) * v[pa, pb, pb, pa]
+    h[np.diag_indices(n_det)] = diag
+
+    rows_per_block = max(1, _PAIR_BLOCK // n_det)
+    for start in range(0, n_det, rows_per_block):
+        stop = min(start + rows_per_block, n_det)
+        shared = occ_f[start:stop] @ occ_f[start:].T
+        upper = np.arange(start, stop)[:, None] < np.arange(start, n_det)[None, :]
+        for n_diff in (1, 2):
+            i, j = np.nonzero(upper & (shared == n - n_diff))
+            i += start
+            j += start
+            h[i, j] = h[j, i] = _excitation_elements(occupied, occ, i, j, n_diff, t, v)
     return h
+
+
+def _excitation_elements(occupied, occ, i, j, n_diff, t, v) -> np.ndarray:
+    """<D_i|H|D_j> for pairs that differ in exactly ``n_diff`` spin orbitals."""
+    n_pairs = i.size
+    n = occupied.shape[1]
+    d_i, d_j = occupied[i], occupied[j]
+    kept_i = occ[j[:, None], d_i]  # which orbitals of D_i also sit in D_j
+    kept_j = occ[i[:, None], d_j]
+    # positions within the sorted determinants = occupied orbitals below them
+    pos_i = np.nonzero(~kept_i)[1].reshape(n_pairs, n_diff)
+    pos_j = np.nonzero(~kept_j)[1].reshape(n_pairs, n_diff)
+    rows = np.arange(n_pairs)[:, None]
+    p, q = d_i[rows, pos_i], d_j[rows, pos_j]
+    sign = 1.0 - 2.0 * ((pos_i.sum(axis=1) + pos_j.sum(axis=1)) & 1)
+    if n_diff == 1:
+        p, q = p[:, 0], q[:, 0]
+        common = d_i[kept_i].reshape(n_pairs, n - 1)
+        P, Q, K = p >> 1, q >> 1, common >> 1
+        coulomb = v[P[:, None], K, Q[:, None], K].sum(axis=1)
+        parallel = (common & 1) == (p & 1)[:, None]
+        exchange = (parallel * v[P[:, None], K, K, Q[:, None]]).sum(axis=1)
+        # every term needs p and q to carry the same spin
+        return sign * ((p & 1) == (q & 1)) * (t[P, Q] + coulomb - exchange)
+    p1, p2, q1, q2 = p[:, 0], p[:, 1], q[:, 0], q[:, 1]
+    s1, s2, r1, r2 = p1 & 1, p2 & 1, q1 & 1, q2 & 1
+    P1, P2, Q1, Q2 = p1 >> 1, p2 >> 1, q1 >> 1, q2 >> 1
+    direct = ((s1 == r1) & (s2 == r2)) * v[P1, P2, Q1, Q2]
+    exchange = ((s1 == r2) & (s2 == r1)) * v[P1, P2, Q2, Q1]
+    return sign * (direct - exchange)
 
 
 def full_ci_ground_state(
@@ -193,8 +221,11 @@ def full_ci_ground_state(
     """Lowest eigenpair of the exact N-body Hamiltonian in the truncated orbital set.
 
     The energy is variational: it can only decrease when ``orbital_cutoff``
-    grows.  ``sz`` optionally restricts the configuration space to a total
-    spin projection (e.g. ``sz=1.0`` for two aligned electrons).
+    grows.  Only determinants of total spin projection ``sz`` enter (e.g.
+    ``sz=1.0`` for two aligned electrons).  The default is the lowest-|Sz|
+    sector, 0 for even N and +1/2 for odd N, which holds the exact ground
+    state: H does not act on spin, so it commutes with S+ and S-, and every
+    spin multiplet has a member there.
     """
     n = system.n_electrons
     if n > _MAX_ELECTRONS:
@@ -207,6 +238,8 @@ def full_ci_ground_state(
             f"configuration space too large: C({n_so}, {n}) = {n_dets} "
             f"exceeds the {_MAX_DETERMINANTS} determinant limit"
         )
+    if sz is None:
+        sz = 0.5 * (n % 2)
     dets = enumerate_determinants(n_so, n, sz=sz)
     if not dets:
         raise ValueError("no determinants satisfy the requested spin projection")
@@ -226,6 +259,7 @@ def full_ci_ground_state(
         coefficients=coeff.astype(complex),
         basis=basis,
         spin_labels=spin_labels,
+        sz=float(sz),
     )
     return float(eigvals[0]), state
 

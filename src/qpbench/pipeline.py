@@ -111,6 +111,8 @@ def _stage_oracle(system, config, out_dir, chash, state):
     record = {
         "system_hash": shash,
         "orbital_cutoff": config["oracle"]["orbital_cutoff"],
+        "sz": wavefunction.sz,
+        "determinants": len(wavefunction.determinants),
         "energy": energy,
         "natural_occupations": natural_occupations(wavefunction),
         "reduced_density_matrices": rdm_records,

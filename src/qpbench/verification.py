@@ -12,7 +12,7 @@ import filecmp
 import math
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,10 +53,17 @@ class CheckResult:
     measured: float
     tolerance: float
     detail: str
+    elapsed: float | None = None  # wall seconds, set by run_check
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{status} {self.name}: {self.detail}"
+
+    def timing(self) -> str:
+        """Elapsed wall time, next to the runtime budget when there is one."""
+        bound = RUNTIME_BOUNDS.get(self.name)
+        text = f"{self.elapsed:.2f}s"
+        return text if bound is None else f"{text} of {bound:.0f}s budget"
 
 
 # wall-clock budgets (seconds) attached to the criteria that carry one
@@ -387,14 +394,12 @@ def run_check(check) -> CheckResult:
     elapsed = time.perf_counter() - start
     bound = RUNTIME_BOUNDS.get(result.name)
     if bound is not None and elapsed > bound:
-        result = CheckResult(
-            name=result.name,
+        result = replace(
+            result,
             passed=False,
-            measured=result.measured,
-            tolerance=result.tolerance,
             detail=result.detail + f"; runtime {elapsed:.1f}s over the {bound:.0f}s budget",
         )
-    return result
+    return replace(result, elapsed=elapsed)
 
 
 def run_all_checks() -> list[CheckResult]:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qpbench import verification
 from qpbench.cli import main
 from qpbench.config import ConfigError, RunConfig, system_hash
 from qpbench.hartree_fock import band_structure
@@ -237,6 +238,9 @@ class TestCli:
         assert oracle["energy"] < 0
         assert oracle["system_hash"]
         assert system_record["n_electrons"] == 2
+        # two electrons in 6 orbitals: the Sz = 0 sector holds 6 * 6 determinants
+        assert oracle["sz"] == 0.0
+        assert oracle["determinants"] == 36
 
     def test_degraded_run_exits_nonzero_with_error_record(self, tmp_path, capsys):
         payload = dict(CRYSTAL_CONFIG)
@@ -264,3 +268,14 @@ class TestCli:
         lines = (tmp_path / "out" / "bands.csv").read_text().splitlines()
         kvals = {line.split(",")[0] for line in lines if line[0] not in "#k"}
         assert len(kvals) == 4
+
+    def test_verify_prints_runtime_budget_outside_the_report(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(verification, "_CHECKS", (verification.check_energy_functional,))
+        code = main(["verify", "--out", str(tmp_path)])
+        assert code == 0
+        line = capsys.readouterr().out.strip()
+        assert line.startswith("PASS energy_functional_equivalence:")
+        assert line.endswith("s of 30s budget]")
+        report = (tmp_path / "verify_report.json").read_text()
+        assert "budget" not in report
+        assert "elapsed" not in report

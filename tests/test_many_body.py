@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from qpbench import many_body
 from qpbench.many_body import (
-    _so_coulomb,
-    _so_one_body,
     ci_hamiltonian,
     enumerate_determinants,
     exact_reduced_density_matrix,
@@ -50,6 +49,7 @@ class TestNoninteractingLimits:
         levels = np.linalg.eigvalsh(core_hamiltonian(system))
         energy, state = full_ci_ground_state(system, orbital_cutoff=6, sz=1.0)
         assert energy == pytest.approx(levels[0] + levels[1], abs=1e-12)
+        assert state.sz == 1.0
         assert all(label == "up" for p, label in enumerate(state.spin_labels) if p % 2 == 0)
 
 
@@ -101,38 +101,121 @@ class TestWavefunction:
         assert np.sum(np.abs(amp) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
+def spin_orbital_integrals(t, v):
+    """Spin-orbital t_so[p, q] and <pq|v|rs>, built apart from the CI code."""
+    n_so = 2 * t.shape[0]
+    spatial = np.arange(n_so) // 2
+    spin = np.arange(n_so) % 2
+    same = spin[:, None] == spin[None, :]
+    t_so = same * t[np.ix_(spatial, spatial)]
+    v_so = (
+        v[np.ix_(spatial, spatial, spatial, spatial)]
+        * same[:, None, :, None]
+        * same[None, :, None, :]
+    )
+    return t_so, v_so
+
+
+def loop_slater_condon(d1, d2, t_so, v_so):
+    """Per-pair Slater-Condon element: the loop reference for ``ci_hamiltonian``."""
+    s1, s2 = set(d1), set(d2)
+    diff1, diff2 = sorted(s1 - s2), sorted(s2 - s1)
+    if len(diff1) > 2:
+        return 0.0
+    if not diff1:
+        val = sum(t_so[p, p] for p in d1)
+        for p, q in itertools.combinations(d1, 2):
+            val += v_so[p, q, p, q] - v_so[p, q, q, p]
+        return val
+    if len(diff1) == 1:
+        p, q = diff1[0], diff2[0]
+        val = t_so[p, q]
+        for k in s1 & s2:
+            val += v_so[p, k, q, k] - v_so[p, k, k, q]
+        return (-1) ** (d1.index(p) + d2.index(q)) * val
+    (p1, p2), (q1, q2) = diff1, diff2
+    sign = (-1) ** (d1.index(p1) + d1.index(p2) + d2.index(q1) + d2.index(q2))
+    return sign * (v_so[p1, p2, q1, q2] - v_so[p1, p2, q2, q1])
+
+
+def loop_hamiltonian(dets, t, v):
+    t_so, v_so = spin_orbital_integrals(t, v)
+    return np.array([[loop_slater_condon(a, b, t_so, v_so) for b in dets] for a in dets])
+
+
+def integrals(system, cutoff):
+    basis = orbital_basis(system, cutoff)
+    return (
+        one_body_integrals(basis, system),
+        two_body_integrals(basis, system.interaction_kernel),
+    )
+
+
 class TestSlaterCondonAgainstDenseHamiltonian:
     def test_matrix_elements_match_first_quantized_route(self):
-        # independent oracle: assemble H on the full ordered-tuple space and
-        # sandwich it between explicitly antisymmetrized amplitude tensors
-        system = build_soft_coulomb_system((10, 0.5), 1.5, 1.0, 2, BOX)
-        basis = orbital_basis(system, 3)
-        t = one_body_integrals(basis, system)
-        v = two_body_integrals(basis, system.interaction_kernel)
-        n_so = 6
-        dets = enumerate_determinants(n_so, 2)
-        h_ci = ci_hamiltonian(dets, t, v)
+        # independent oracle: apply H on the full ordered-tuple space and
+        # sandwich it between explicitly antisymmetrized amplitude tensors.
+        # N = 3 checks the single-excitation sign with spectator electrons.
+        for n_elec, sz in ((2, None), (3, 0.5)):
+            system = build_soft_coulomb_system((10, 0.5), 1.5, 1.0, n_elec, BOX)
+            t, v = integrals(system, 3)
+            t_so, v_so = spin_orbital_integrals(t, v)
+            n_so = 6
+            dets = enumerate_determinants(n_so, n_elec, sz=sz)
+            h_ci = ci_hamiltonian(dets, t, v)
 
-        t_so = np.zeros((n_so, n_so))
-        v_so = np.zeros((n_so, n_so, n_so, n_so))
-        for p, q in itertools.product(range(n_so), repeat=2):
-            t_so[p, q] = _so_one_body(t, p, q)
-        for p, q, r, s in itertools.product(range(n_so), repeat=4):
-            v_so[p, q, r, s] = _so_coulomb(v, p, q, r, s)
-        eye = np.eye(n_so)
-        h_full = np.kron(t_so, eye) + np.kron(eye, t_so)
-        h_full += v_so.reshape(n_so * n_so, n_so * n_so)
+            def apply_h(amp):
+                out = np.zeros_like(amp)
+                for a in range(n_elec):
+                    out += np.moveaxis(np.tensordot(t_so, amp, axes=([1], [a])), 0, a)
+                for a, b in itertools.combinations(range(n_elec), 2):
+                    step = np.tensordot(v_so, amp, axes=([2, 3], [a, b]))
+                    out += np.moveaxis(step, (0, 1), (a, b))
+                return out
 
-        def tensor(det):
-            a = np.zeros((n_so, n_so))
-            a[det[0], det[1]] = 1.0 / math.sqrt(2.0)
-            a[det[1], det[0]] = -1.0 / math.sqrt(2.0)
-            return a.reshape(-1)
+            def tensor(det):
+                amp = np.zeros((n_so,) * n_elec)
+                for perm in itertools.permutations(range(n_elec)):
+                    sign = np.linalg.det(np.eye(n_elec)[list(perm)])
+                    amp[tuple(det[k] for k in perm)] = sign
+                return amp / math.sqrt(math.factorial(n_elec))
 
-        for i, d1 in enumerate(dets):
-            for j, d2 in enumerate(dets):
-                expect = tensor(d1) @ h_full @ tensor(d2)
-                assert h_ci[i, j] == pytest.approx(expect, abs=1e-12)
+            tensors = [tensor(det) for det in dets]
+            applied = [apply_h(amp) for amp in tensors]
+            for i, left in enumerate(tensors):
+                for j, right in enumerate(applied):
+                    expect = np.sum(left * right)
+                    assert h_ci[i, j] == pytest.approx(expect, abs=1e-12)
+
+    @pytest.mark.parametrize("n_elec", [1, 2, 3, 4])
+    def test_matrix_matches_per_pair_loop_in_every_sector(self, n_elec):
+        system = build_soft_coulomb_system((12, 0.5), 2.0, 1.0, n_elec, BOX)
+        t, v = integrals(system, 4)
+        sectors = [None] + [0.5 * k for k in range(-n_elec, n_elec + 1, 2)]
+        for sz in sectors:
+            dets = enumerate_determinants(8, n_elec, sz=sz)
+            expect = loop_hamiltonian(dets, t, v)
+            assert np.max(np.abs(ci_hamiltonian(dets, t, v) - expect)) < 1e-13
+
+    def test_row_blocks_do_not_change_the_matrix(self, monkeypatch):
+        system = build_soft_coulomb_system((12, 0.5), 2.0, 1.0, 4, BOX)
+        t, v = integrals(system, 5)
+        dets = enumerate_determinants(10, 4)
+        whole = ci_hamiltonian(dets, t, v)
+        monkeypatch.setattr(many_body, "_PAIR_BLOCK", 97)
+        assert np.array_equal(ci_hamiltonian(dets, t, v), whole)
+
+
+class TestSpinSector:
+    @pytest.mark.parametrize("n_elec", [1, 2, 3, 4])
+    def test_default_sector_holds_the_full_space_ground_state(self, n_elec):
+        system = build_soft_coulomb_system((12, 0.5), 2.0, 1.0, n_elec, BOX)
+        t, v = integrals(system, 4)
+        full = loop_hamiltonian(enumerate_determinants(8, n_elec), t, v)
+        energy, state = full_ci_ground_state(system, orbital_cutoff=4)
+        assert energy == pytest.approx(np.linalg.eigvalsh(full)[0], abs=1e-12)
+        assert state.sz == 0.5 * (n_elec % 2)
+        assert len(state.determinants) < full.shape[0]
 
 
 class TestReducedDensityMatrices:
