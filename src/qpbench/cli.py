@@ -42,9 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="path to the JSON run config")
     common.add_argument("--out", required=True, help="output directory")
-    common.add_argument("--threads", type=int, default=1, help="parallel workers per stage")
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
-    common.add_argument("--mixing", type=float, default=None, help="override scf.mixing")
     common.add_argument("--tol", type=float, default=None, help="override scf.tol")
     common.add_argument("--max-iter", type=int, default=None, help="override scf.max_iter")
     common.add_argument(
@@ -72,7 +70,6 @@ def _load_config(args) -> RunConfig:
     if args.seed is not None:
         raw["seed"] = args.seed
     overrides = {
-        ("scf", "mixing"): args.mixing,
         ("scf", "tol"): args.tol,
         ("scf", "max_iter"): args.max_iter,
         ("system", "kpoints"): args.k_count,
@@ -126,7 +123,7 @@ def main(argv=None) -> int:
 
     stages = STAGES if args.command == "run" else _STAGE_COMMANDS[args.command]
     try:
-        report = run_pipeline(config, args.out, threads=args.threads, stages=stages)
+        report = run_pipeline(config, args.out, stages=stages)
     except Exception as exc:  # unexpected: no report was written
         return _fail(type(exc).__name__, str(exc), EXIT_FAILURE)
 

@@ -81,7 +81,6 @@ _SCHEMA = {
         "wells": (_number(lo=1, integer=True), 1),
     },
     "scf": {
-        "mixing": (_number(lo=0, lo_open=True, hi=1.0), 0.5),
         "tol": (_number(lo=0, lo_open=True), 1e-10),
         "max_iter": (_number(lo=1, integer=True), 500),
     },

@@ -192,7 +192,7 @@ def energy_from_density_matrices(
     if h_matrix.shape != (g, g):
         raise ValueError("one-body operator dimension mismatch with rho1")
     w = rho1.weight
-    e_one = float(np.real(np.sum(h_matrix * rho1.matrix)) * w)
+    e_one = float(np.real(np.sum(h_matrix * rho1.matrix.T)) * w)  # Tr(h rho1)
     if rho2 is None:
         return e_one
     if rho2.order != 2:
@@ -269,7 +269,7 @@ def hf_decomposition(
     terms sum to :func:`energy_from_density_matrices` on the same inputs.
     """
     w = rho1.weight
-    epsilon0_term = float(np.real(np.sum(h_matrix * rho1.matrix)) * w)
+    epsilon0_term = float(np.real(np.sum(h_matrix * rho1.matrix.T)) * w)  # Tr(h rho1)
     if rho2_hf is None:
         if rho1.n_electrons != 1:
             raise ValueError("rho2 may be omitted only for a single electron")

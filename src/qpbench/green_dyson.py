@@ -111,16 +111,14 @@ class SelfEnergyModel:
 class GreenFunction:
     """Frequency-sampled matrix propagator.
 
-    ``matrices[i]`` is the propagator at ``omegas[i] + 1j * eta``.  The
-    right-hand-side scale of the defining equation is tracked as metadata;
-    propagators themselves are normalized to an identity source.
+    ``matrices[i]`` is the propagator at ``omegas[i] + 1j * eta``, normalized
+    to an identity source.
     """
 
     omegas: np.ndarray
     eta: float
     matrices: np.ndarray
     kind: str  # "free" | "dressed"
-    rhs_scale: float = 1.0
     flagged: tuple = ()
     notes: tuple = ()
 
@@ -145,7 +143,6 @@ def free_green(
     hf_hamiltonian: np.ndarray,
     omega_grid: np.ndarray,
     eta: float = 1e-3,
-    rhs_scale: float = 1.0,
 ) -> GreenFunction:
     """Free propagator (w + i eta - H)^-1 of a Hermitian mean-field operator."""
     h = np.asarray(hf_hamiltonian)
@@ -159,9 +156,7 @@ def free_green(
     eye = np.eye(d)
     shifted = (omegas[:, None, None] + 1j * eta) * eye[None, :, :] - h[None, :, :]
     matrices = np.linalg.inv(shifted)
-    return GreenFunction(
-        omegas=omegas, eta=eta, matrices=matrices, kind="free", rhs_scale=rhs_scale
-    )
+    return GreenFunction(omegas=omegas, eta=eta, matrices=matrices, kind="free")
 
 
 def dyson_solve(
@@ -190,7 +185,6 @@ def dyson_solve(
             eta=g0.eta,
             matrices=g0.matrices.copy(),
             kind="dressed",
-            rhs_scale=g0.rhs_scale,
         )
     nw = g0.omegas.size
     d = g0.dim
@@ -237,7 +231,6 @@ def dyson_solve(
         eta=g0.eta,
         matrices=out,
         kind="dressed",
-        rhs_scale=g0.rhs_scale,
         flagged=tuple(flagged),
         notes=tuple(notes),
     )

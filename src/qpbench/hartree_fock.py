@@ -4,11 +4,15 @@ Closed-shell occupation throughout: each spatial orbital holds two electrons,
 with the one-electron system treated specially (its Coulomb and exchange
 self-interaction cancel identically, so both terms are dropped).  Exchange is
 always applied as a full nonlocal matrix.
+
+One SCF loop serves every caller.  It iterates a stack of momenta in lockstep
+(a band structure passes its whole k-grid, :func:`scf_solve` one momentum),
+accelerated by Pulay DIIS on the commutator error [F, gamma] (Pulay, Chem.
+Phys. Lett. 73, 393 (1980); J. Comput. Chem. 3, 556 (1982)).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +20,8 @@ import numpy as np
 from .model_system import PERIODIC, ModelSystem, core_hamiltonian
 
 _DEGENERACY_TOL = 1e-10
+_DIIS_SIZE = 8  # error vectors kept per momentum
+_DIIS_MAX_COND = 1e12  # oldest vectors are dropped above this condition number
 
 
 @dataclass(frozen=True)
@@ -76,6 +82,34 @@ class BandStructure:
         return bool(np.all(self.converged_per_k))
 
 
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
+def _mean_field(system: ModelSystem, h: np.ndarray, density: np.ndarray, kernel: np.ndarray):
+    """Hartree potential, exchange matrix and total operator, stacked over leading axes.
+
+    ``density`` (..., g) is the total electron density and ``kernel``
+    (..., g, g) the same-spin density kernel gamma(x, x'), a float or complex
+    array that is overwritten with the exchange matrix, which saves one g x g
+    buffer per momentum.
+    """
+    if system.n_electrons == 1:
+        # both self-interaction terms vanish for a lone electron
+        kernel[...] = 0.0
+        return np.zeros(density.shape), kernel, h.copy()
+    w = system.grid.spacing
+    v = system.interaction_kernel
+    hartree = density @ v * w
+    exchange = kernel
+    exchange *= v
+    exchange *= w
+    total = h - exchange
+    diag = np.arange(h.shape[-1])
+    total[..., diag, diag] += hartree
+    return hartree, exchange, total
+
+
 def build_fock(
     system: ModelSystem,
     rho1_diag: np.ndarray,
@@ -85,8 +119,9 @@ def build_fock(
     """Assemble kinetic + external + Coulomb - exchange for a given density.
 
     ``rho1_diag`` is the total electron density on the grid and feeds the
-    local Coulomb term; ``rho1_full`` is the same-spin density kernel and
-    feeds the nonlocal exchange, exchange[i, j] = v[i, j] rho(j, i) * spacing.
+    local Coulomb term; ``rho1_full`` is the same-spin density kernel
+    gamma(x, x') and feeds the nonlocal exchange,
+    exchange[i, j] = v[i, j] gamma(x_i, x_j) * spacing.
     """
     g = system.grid.npoints
     rho1_diag = np.asarray(rho1_diag)
@@ -94,18 +129,10 @@ def build_fock(
     if rho1_diag.shape != (g,) or rho1_full.shape != (g, g):
         raise ValueError("density dimensions do not match the grid")
     h = core_hamiltonian(system, k)
-    w = system.grid.spacing
-    v = system.interaction_kernel
-    if system.n_electrons == 1:
-        # both self-interaction terms vanish for a lone electron
-        hartree = np.zeros((g, g))
-        exchange = np.zeros((g, g))
-    else:
-        hartree = np.diag(v @ rho1_diag * w)
-        exchange = v * rho1_full.T * w
-    total = h + hartree - exchange
+    kernel = np.array(rho1_full, dtype=np.result_type(rho1_full, float))
+    hartree, exchange, total = _mean_field(system, h, rho1_diag, kernel)
     return FockOperator(
-        h_core=h, hartree=hartree, exchange=exchange, total=total, momentum=k
+        h_core=h, hartree=np.diag(hartree), exchange=exchange, total=total, momentum=k
     )
 
 
@@ -118,25 +145,25 @@ def _occupied_count(n_electrons: int) -> int:
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    out = vectors.copy()
-    for col in range(out.shape[1]):
-        pivot = int(np.argmax(np.abs(out[:, col])))
-        val = out[pivot, col]
-        if np.iscomplexobj(out):
-            mag = abs(val)
-            if mag > 0:
-                out[:, col] *= np.conj(val) / mag
-        elif val < 0:
-            out[:, col] = -out[:, col]
-    return out
+    """Make the largest-magnitude entry of every column real and positive, in place (stacked)."""
+    # |v| laid out column-major, so argmax runs along a contiguous axis without a copy
+    mag = np.empty(vectors.shape[:-2] + vectors.shape[:-3:-1])
+    np.abs(vectors.swapaxes(-1, -2), out=mag)
+    pivot = np.argmax(mag, axis=-1)[..., None, :]
+    del mag
+    val = np.take_along_axis(vectors, pivot, axis=-2)
+    if np.iscomplexobj(vectors):
+        mag = np.abs(val)
+        vectors *= np.where(mag > 0, np.conj(val) / np.where(mag > 0, mag, 1.0), 1.0)
+    else:
+        vectors *= np.where(val < 0, -1.0, 1.0)
+    return vectors
 
 
-def _align_degenerate(
-    eigenvalues: np.ndarray, vectors: np.ndarray, previous: np.ndarray | None
+def _align_block_order(
+    eigenvalues: np.ndarray, vectors: np.ndarray, previous: np.ndarray
 ) -> np.ndarray:
-    """Within degenerate blocks, order columns by overlap with the previous pass."""
-    if previous is None:
-        return vectors
+    """Within degenerate blocks of one matrix, order columns by overlap with ``previous``."""
     out = vectors.copy()
     start = 0
     n = eigenvalues.size
@@ -160,6 +187,19 @@ def _align_degenerate(
     return out
 
 
+def _align_degenerate(
+    eigenvalues: np.ndarray, vectors: np.ndarray, previous: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """Stacked :func:`_align_block_order` in place, run only on matrices with a degenerate pair.
+
+    Matrix ``i`` of ``vectors`` is aligned with ``previous[rows[i]]``.
+    """
+    degenerate = np.any(np.diff(eigenvalues, axis=-1) < _DEGENERACY_TOL, axis=-1)
+    for i in np.flatnonzero(degenerate):
+        vectors[i] = _align_block_order(eigenvalues[i], vectors[i], previous[rows[i]])
+    return vectors
+
+
 def hf_total_energy(
     system: ModelSystem, orbitals_occ: np.ndarray, k: float | None = None
 ) -> float:
@@ -173,109 +213,231 @@ def hf_total_energy(
     kernel = orbitals_occ @ orbitals_occ.conj().T  # same-spin kernel
     p = 2.0 * kernel
     density = np.real(np.diag(p))
-    e_one = float(np.real(np.sum(h * p)) * w)
+    e_one = float(np.real(np.sum(h * p.T)) * w)  # Tr(h p)
     e_hartree = 0.5 * float(density @ v @ density) * w * w
     e_exchange = 0.25 * float(np.real(np.sum(v * np.abs(p) ** 2))) * w * w
     return e_one + e_hartree - e_exchange
 
 
-def scf_solve(
-    system: ModelSystem,
-    k: float | None = None,
-    mixing: float = 0.5,
-    max_iter: int = 500,
-    tol: float = 1e-10,
-    guess_orbitals: np.ndarray | None = None,
-) -> SCFResult:
-    """Self-consistent fixed point of the density -> Fock -> density map.
+class _PulayHistory:
+    """DIIS subspace of every momentum, kept as orbital factors, not g x g matrices.
 
-    Linear density mixing on the same-spin kernel; convergence is declared
-    when the fresh kernel differs from the current one by less than ``tol``
-    in max norm.  Non-convergence is reported through the result flags and
-    residual history rather than raised.
+    Entry i holds the occupied orbitals psi_i of gamma_i = psi_i psi_i^H and the
+    projected error R_i = (1 - P_i) F[gamma_i] psi_i, P_i the occupied-space
+    projector.  The commutator error is then e_i = R_i psi_i^H - psi_i R_i^H,
+    and B_ij = Tr(e_i^H e_j) = 2 Re Tr(R_i^H R_j psi_j^H psi_i - R_i^H psi_j R_j^H psi_i)
+    needs only n_occ x n_occ products.  Since F is affine in gamma and the
+    coefficients sum to one, sum_i c_i F[gamma_i] = F[sum_i c_i gamma_i], so the
+    extrapolated operator is rebuilt from the stored orbitals.
     """
-    if not 0.0 < mixing <= 1.0:
-        raise ValueError("mixing must lie in (0, 1]")
+
+    def __init__(self, nk: int, g: int, nocc: int, dtype, size: int = _DIIS_SIZE):
+        self.size = size
+        self.psi = np.zeros((nk, size, g, nocc), dtype=dtype)
+        self.err = np.zeros_like(self.psi)
+        self.b = np.zeros((nk, size, size))
+        self.valid = np.zeros((nk, size), dtype=bool)
+        self.stamp = np.zeros(size, dtype=int)  # push count when each slot was written
+        self.pushes = 0
+
+    def push(self, rows: np.ndarray, psi: np.ndarray, err: np.ndarray) -> np.ndarray:
+        """Store one entry for each momentum in ``rows``, replacing its oldest.
+
+        Returns the squared Frobenius norm of each new commutator error, B_ii.
+        """
+        slot = self.pushes % self.size
+        self.pushes += 1
+        self.stamp[slot] = self.pushes
+        self.psi[rows, slot] = psi
+        self.err[rows, slot] = err
+        self.valid[rows, slot] = True
+        hist_psi = self.psi[rows]
+        hist_err = self.err[rows]
+        err_h = _adjoint(err)[:, None]
+        t1 = np.einsum("kmij,kmji->km", err_h @ hist_err, _adjoint(hist_psi) @ psi[:, None])
+        t2 = np.einsum("kmij,kmji->km", err_h @ hist_psi, _adjoint(hist_err) @ psi[:, None])
+        row = 2.0 * np.real(t1 - t2)
+        self.b[rows, slot, :] = row
+        self.b[rows, :, slot] = row
+        return row[:, slot]
+
+    def _bordered(self, b: np.ndarray, valid: np.ndarray) -> np.ndarray:
+        m = self.size
+        diag = np.arange(m)
+        scale = np.max(np.where(valid, b[:, diag, diag], 0.0), axis=1)
+        scale = np.where(scale > 0, scale, 1.0)
+        pair = valid[:, :, None] & valid[:, None, :]
+        a = np.zeros((b.shape[0], m + 1, m + 1))
+        a[:, :m, :m] = np.where(pair, b / scale[:, None, None], 0.0)
+        a[:, diag, diag] += ~valid  # unused slots solve to a zero coefficient
+        a[:, :m, m] = valid
+        a[:, m, :m] = valid
+        return a
+
+    def coefficients(self, rows: np.ndarray) -> np.ndarray:
+        """Coefficients (len(rows), size), summing to one, minimizing |sum_i c_i e_i|."""
+        b = self.b[rows]
+        valid = self.valid[rows]
+        while True:
+            a = self._bordered(b, valid)
+            bad = (np.linalg.cond(a) > _DIIS_MAX_COND) & (np.sum(valid, axis=1) > 1)
+            if not np.any(bad):
+                break
+            oldest = np.argmin(np.where(valid, self.stamp, np.iinfo(int).max), axis=1)
+            valid[bad, oldest[bad]] = False
+        self.valid[rows] = valid
+        rhs = np.zeros((len(rows), self.size + 1, 1))
+        rhs[:, -1] = 1.0
+        return np.linalg.solve(a, rhs)[:, : self.size, 0]
+
+    def extrapolated_kernel(self, rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        """sum_i c_i psi_i psi_i^H for each momentum in ``rows``."""
+        psi = self.psi[rows]
+        na, m, g, nocc = psi.shape
+        left = (psi * coeffs[:, :, None, None]).transpose(0, 2, 1, 3).reshape(na, g, m * nocc)
+        right = psi.transpose(0, 2, 1, 3).reshape(na, g, m * nocc)
+        return left @ _adjoint(right)
+
+
+def _scf(
+    system: ModelSystem,
+    momenta: list,
+    max_iter: int,
+    tol: float,
+    guess_orbitals: np.ndarray | None = None,
+) -> list[SCFResult]:
+    """Lockstep Pulay-DIIS SCF over a stack of momenta; one result per momentum.
+
+    Each momentum stops updating once its residual, the Frobenius norm of the
+    commutator F P - P F of its Fock operator with the occupied-space
+    projector P = gamma * spacing, drops below ``tol``.  The reported
+    eigenpairs and Fock operator are those of the un-extrapolated F[gamma] at
+    the last density.
+    """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     nocc = _occupied_count(system.n_electrons)
     w = system.grid.spacing
     g = system.grid.npoints
     if nocc > g:
         raise ValueError("more occupied orbitals than grid points")
-
-    if guess_orbitals is not None:
-        orbitals = np.asarray(guess_orbitals)[:, :nocc]
-    else:
-        _, vecs = np.linalg.eigh(core_hamiltonian(system, k))
-        orbitals = vecs[:, :nocc] / np.sqrt(w)
-    kernel = orbitals @ orbitals.conj().T
-
     occ_factor = 1.0 if system.n_electrons == 1 else 2.0
-    residual_history = []
-    energy_history = []
-    previous_vectors = None
-    converged = False
-    fock = None
-    eigenvalues = None
-    all_orbitals = None
-    iterations = 0
+
+    def fock_of(h_rows, kernel):
+        density = occ_factor * np.real(np.diagonal(kernel, axis1=-2, axis2=-1))
+        return _mean_field(system, h_rows, density, kernel)
+
+    h = np.stack([core_hamiltonian(system, k) for k in momenta])
+    nk = h.shape[0]
+    if guess_orbitals is None:
+        _, previous = np.linalg.eigh(h)  # last eigenvectors, for degenerate alignment
+        psi = previous[..., :nocc] / np.sqrt(w)
+    else:
+        guess = np.asarray(guess_orbitals)[:, :nocc]
+        previous = np.zeros_like(h, dtype=np.result_type(h, guess))
+        psi = np.empty((nk, g, nocc), dtype=previous.dtype)
+        psi[:] = guess
+    history = _PulayHistory(nk, g, nocc, psi.dtype)
+    residuals = [[] for _ in range(nk)]
+    energies = [[] for _ in range(nk)]
+    converged = np.zeros(nk, dtype=bool)
+    active = np.arange(nk)
+    h_active = h
 
     for iteration in range(1, max_iter + 1):
-        iterations = iteration
-        density = occ_factor * np.real(np.diag(kernel))
-        fock = build_fock(system, density, kernel, k)
-        eigenvalues, vectors = np.linalg.eigh(fock.total)
-        vectors = _align_degenerate(eigenvalues, vectors, previous_vectors)
-        vectors = _fix_phases(vectors)
-        previous_vectors = vectors
-        all_orbitals = vectors / np.sqrt(w)
-        occ = all_orbitals[:, :nocc]
-        fresh = occ @ occ.conj().T
-        residual = float(np.max(np.abs(fresh - kernel)))
-        residual_history.append(residual)
-        energy_history.append(hf_total_energy(system, occ, k))
-        if residual < tol:
-            converged = True
-            kernel = fresh
+        occ = psi[active]
+        f_occ = fock_of(h_active, occ @ _adjoint(occ))[2] @ occ
+        err = f_occ - occ @ (_adjoint(occ) @ f_occ * w)
+        residual = w * np.sqrt(np.maximum(history.push(active, occ, err), 0.0))
+        # E = (occupation / 2) Tr[(h + F) gamma] * spacing
+        energy = 0.5 * occ_factor * w * np.real(
+            np.sum(occ.conj() * (h_active @ occ + f_occ), axis=(-2, -1))
+        )
+        for i, r, e in zip(active, residual, energy):
+            residuals[i].append(float(r))
+            energies[i].append(float(e))
+        done = residual < tol
+        converged[active[done]] = True
+        if iteration == max_iter or np.all(done):
             break
-        kernel = (1.0 - mixing) * kernel + mixing * fresh
+        if np.any(done):
+            active, h_active = active[~done], h_active[~done]
+        kernel = history.extrapolated_kernel(active, history.coefficients(active))
+        eigenvalues, vectors = np.linalg.eigh(fock_of(h_active, kernel)[2])
+        del kernel
+        _fix_phases(_align_degenerate(eigenvalues, vectors, previous, active))
+        previous[active] = vectors
+        psi[active] = vectors[..., :nocc] / np.sqrt(w)
+        del vectors
 
-    monotone = True
-    for a, b in zip(energy_history[3:], energy_history[4:]):
-        if b > a + 1e-12:
-            monotone = False
-            break
+    # eigenpairs of the un-extrapolated operator at each momentum's last density
+    hartree, exchange, total = fock_of(h, psi @ _adjoint(psi))
+    eigenvalues, orbitals = np.linalg.eigh(total)
+    _fix_phases(_align_degenerate(eigenvalues, orbitals, previous, np.arange(nk)))
+    del previous
+    orbitals /= np.sqrt(w)
 
-    return SCFResult(
-        orbitals=all_orbitals,
-        eigenvalues=eigenvalues,
-        iterations=iterations,
-        final_residual=residual_history[-1],
-        converged=converged,
-        residual_history=tuple(residual_history),
-        energy_history=tuple(energy_history),
-        energy=energy_history[-1],
-        momentum=k,
-        n_occupied=nocc,
-        monotone_after_3=monotone,
-        fock=fock,
-    )
+    results = []
+    for i, k in enumerate(momenta):
+        history_e = energies[i]
+        monotone = all(b <= a + 1e-12 for a, b in zip(history_e[3:], history_e[4:]))
+        results.append(
+            SCFResult(
+                orbitals=orbitals[i],
+                eigenvalues=eigenvalues[i],
+                iterations=len(residuals[i]),
+                final_residual=residuals[i][-1],
+                converged=bool(converged[i]),
+                residual_history=tuple(residuals[i]),
+                energy_history=tuple(history_e),
+                energy=history_e[-1],
+                momentum=k,
+                n_occupied=nocc,
+                monotone_after_3=monotone,
+                fock=FockOperator(
+                    h_core=h[i],
+                    hartree=np.diag(hartree[i]),
+                    exchange=exchange[i],
+                    total=total[i],
+                    momentum=k,
+                ),
+            )
+        )
+    return results
+
+
+def scf_solve(
+    system: ModelSystem,
+    k: float | None = None,
+    max_iter: int = 500,
+    tol: float = 1e-10,
+    guess_orbitals: np.ndarray | None = None,
+) -> SCFResult:
+    """Self-consistent fixed point of the density -> Fock -> density map at one momentum.
+
+    Pulay DIIS on the commutator error; convergence is declared when the max
+    norm of F P - P F, P the occupied-space projector, drops below ``tol``.
+    Non-convergence is reported through the result flags and residual history
+    rather than raised.
+    """
+    return _scf(system, [k], max_iter, tol, guess_orbitals)[0]
 
 
 def band_structure(
     system: ModelSystem,
-    mixing: float = 0.5,
     max_iter: int = 500,
     tol: float = 1e-10,
     n_bands: int | None = None,
-    threads: int = 1,
 ) -> BandStructure:
-    """Run one SCF per sampled momentum and collect the band energies.
+    """Solve the SCF at every sampled momentum in lockstep and collect the band energies.
 
-    Bands are checked for the k -> -k symmetry of quasiparticle dispersion;
-    the largest violation per band is recorded.  Momenta whose SCF failed are
-    marked unconverged so downstream analysis can exclude the band.
+    The zone center, when sampled, runs in real arithmetic apart from the
+    complex Bloch momenta.  Bands are checked for the k -> -k symmetry of
+    quasiparticle dispersion; the largest violation per band is recorded.
+    Momenta whose SCF failed are marked unconverged so downstream analysis can
+    exclude the band.
     """
     if system.boundary != PERIODIC:
         raise ValueError("band structure requires a periodic system")
@@ -283,14 +445,13 @@ def band_structure(
     if kgrid.size == 0:
         raise ValueError("periodic system has an empty momentum grid")
 
-    def solve_at(k: float) -> SCFResult:
-        return scf_solve(system, k=float(k), mixing=mixing, max_iter=max_iter, tol=tol)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(solve_at, kgrid))
-    else:
-        results = [solve_at(k) for k in kgrid]
+    results = [None] * kgrid.size
+    center = kgrid == 0.0
+    for group in (np.flatnonzero(center), np.flatnonzero(~center)):
+        if group.size:
+            solved = _scf(system, [float(k) for k in kgrid[group]], max_iter, tol)
+            for i, res in zip(group, solved):
+                results[i] = res
 
     g = system.grid.npoints
     nb = g if n_bands is None else min(n_bands, g)

@@ -72,19 +72,11 @@ def _self_energy_model(config: RunConfig, dim: int, kgrid: np.ndarray) -> SelfEn
     return SelfEnergyModel.tabulated_momentum(kgrid, kernels)
 
 
-def _bands_for(system: ModelSystem, config: RunConfig, threads: int) -> BandStructure:
+def _bands_for(system: ModelSystem, config: RunConfig) -> BandStructure:
     scf = config["scf"]
     if system.boundary == PERIODIC:
-        return band_structure(
-            system,
-            mixing=scf["mixing"],
-            max_iter=scf["max_iter"],
-            tol=scf["tol"],
-            threads=threads,
-        )
-    res = scf_solve(
-        system, mixing=scf["mixing"], max_iter=scf["max_iter"], tol=scf["tol"]
-    )
+        return band_structure(system, max_iter=scf["max_iter"], tol=scf["tol"])
+    res = scf_solve(system, max_iter=scf["max_iter"], tol=scf["tol"])
     occupations = np.zeros(res.eigenvalues.size, dtype=int)
     occupations[: res.n_occupied] = 1 if system.n_electrons == 1 else 2
     return BandStructure(
@@ -94,6 +86,26 @@ def _bands_for(system: ModelSystem, config: RunConfig, threads: int) -> BandStru
         converged_per_k=np.array([res.converged]),
         symmetry_residuals=np.zeros(res.eigenvalues.size),
         scf_results=(res,),
+    )
+
+
+def band_trace_residual(bands: BandStructure, n_electrons: int, spacing: float) -> float:
+    """Residual of the band-0 trace identity over every sampled momentum.
+
+    Projects onto the lowest band orbital at each momentum and traces it
+    against that momentum's core and mean-field (Coulomb minus exchange)
+    operators; the reference point is the band-0 minimum.
+    """
+    projectors, h_ops, v_ops = [], [], []
+    for res in bands.scf_results:
+        vec = res.orbitals[:, 0] * np.sqrt(spacing)
+        k_here = 0.0 if res.momentum is None else res.momentum
+        projectors.append(band_projector(0, k_here, vec))
+        h_ops.append(res.fock.h_core)
+        v_ops.append(res.fock.hartree - res.fock.exchange)
+    eps0 = reference_point(bands.bands[0], n_electrons, "min")
+    return trace_energy_identity(
+        projectors, h_ops, v_ops, bands.bands[0], eps0, n_electrons
     )
 
 
@@ -121,8 +133,8 @@ def _stage_oracle(system, config, out_dir, chash, state):
     return [path], {"ci_energy": energy}
 
 
-def _stage_bands(system, config, out_dir, chash, state, threads):
-    bands = _bands_for(system, config, threads)
+def _stage_bands(system, config, out_dir, chash, state):
+    bands = _bands_for(system, config)
     state["bands"] = bands
     rows = []
     for n in range(bands.n_bands):
@@ -192,17 +204,8 @@ def _stage_quasiparticle(system, config, out_dir, chash, state):
     # meaningful when one spatial band carries all electrons
     identity_residual = None
     if system.n_electrons <= 2:
-        w = system.grid.spacing
-        projectors, h_ops, v_ops = [], [], []
-        for res in bands.scf_results:
-            vec = res.orbitals[:, 0] * np.sqrt(w)
-            k_here = 0.0 if res.momentum is None else res.momentum
-            projectors.append(band_projector(0, k_here, vec))
-            h_ops.append(res.fock.h_core)
-            v_ops.append(res.fock.hartree - res.fock.exchange)
-        eps0_occ = reference_point(bands.bands[0], system.n_electrons, "min")
-        identity_residual = trace_energy_identity(
-            projectors, h_ops, v_ops, bands.bands[0], eps0_occ, system.n_electrons
+        identity_residual = band_trace_residual(
+            bands, system.n_electrons, system.grid.spacing
         )
     record = {
         "band": band,
@@ -304,7 +307,6 @@ def _stage_spectrum(system, config, out_dir, chash, state):
 def run_pipeline(
     config: RunConfig,
     out_dir,
-    threads: int = 1,
     stages: tuple = STAGES,
 ) -> dict:
     """Execute the requested stages and persist a run report.
@@ -352,9 +354,7 @@ def run_pipeline(
             if name == "oracle":
                 artifacts, metrics = _stage_oracle(system, config, out_dir, chash, state)
             elif name == "bands":
-                artifacts, metrics = _stage_bands(
-                    system, config, out_dir, chash, state, threads
-                )
+                artifacts, metrics = _stage_bands(system, config, out_dir, chash, state)
             elif name == "quasiparticle":
                 artifacts, metrics = _stage_quasiparticle(
                     system, config, out_dir, chash, state

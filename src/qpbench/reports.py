@@ -173,16 +173,6 @@ def band_plot_svg(kgrid, bands, reference_levels, config_hash: str) -> str:
     return "\n".join(parts) + "\n"
 
 
-def emit_band_plot(band_structure, reference_levels, path, config_hash: str) -> Path:
-    """Write the band plot; converged input required, empty bands rejected."""
-    svg = band_plot_svg(
-        band_structure.kgrid, band_structure.bands, reference_levels, config_hash
-    )
-    path = Path(path)
-    path.write_text(svg)
-    return path
-
-
 def spectral_plot_svg(omegas, weights, config_hash: str) -> str:
     omegas = np.asarray(omegas, dtype=float)
     weights = np.asarray(weights, dtype=float)

@@ -19,11 +19,9 @@ import numpy as np
 
 from .config import RunConfig
 from .density_matrix import (
-    band_projector,
     determinant_density_matrices,
     energy_from_density_matrices,
     hf_decomposition,
-    trace_energy_identity,
 )
 from .green_dyson import (
     SelfEnergyModel,
@@ -42,8 +40,8 @@ from .many_body import (
     reduced_density_matrix_on_grid,
 )
 from .model_system import build_soft_coulomb_system, core_hamiltonian
-from .pipeline import run_pipeline
-from .quasiparticle import reference_point, zone_reference
+from .pipeline import band_trace_residual, run_pipeline
+from .quasiparticle import zone_reference
 
 
 @dataclass(frozen=True)
@@ -198,17 +196,7 @@ def check_variational_ordering() -> CheckResult:
 def check_trace_identity() -> CheckResult:
     """Band-averaged trace identity on the 2-electron crystal, 8 momenta."""
     system, bands = _crystal_bands()
-    w = system.grid.spacing
-    projectors, h_ops, v_ops = [], [], []
-    for res in bands.scf_results:
-        vec = res.orbitals[:, 0] * np.sqrt(w)
-        projectors.append(band_projector(0, res.momentum, vec))
-        h_ops.append(res.fock.h_core)
-        v_ops.append(res.fock.hartree - res.fock.exchange)
-    eps0 = reference_point(bands.bands[0], 2, "min")
-    residual = trace_energy_identity(
-        projectors, h_ops, v_ops, bands.bands[0], eps0, 2
-    )
+    residual = band_trace_residual(bands, 2, system.grid.spacing)
     return _result("trace_energy_identity", residual, 1e-8)
 
 

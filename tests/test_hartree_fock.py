@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from qpbench.hartree_fock import (
+    _align_degenerate,
+    _fix_phases,
+    _PulayHistory,
     band_structure,
     build_fock,
     hf_total_energy,
@@ -144,9 +147,26 @@ class TestScfSolve:
         with pytest.raises(ValueError, match="even"):
             scf_solve(system)
 
-    def test_bad_mixing_rejected(self, well2):
-        with pytest.raises(ValueError, match="mixing"):
-            scf_solve(well2, mixing=0.0)
+    def test_bad_tolerance_and_iteration_limit_rejected(self, well2):
+        with pytest.raises(ValueError, match="tolerance"):
+            scf_solve(well2, tol=0.0)
+        with pytest.raises(ValueError, match="max_iter"):
+            scf_solve(well2, max_iter=0)
+
+    def test_diis_converges_default_well_quickly(self, well2):
+        # linear mixing at 0.5 needed 44 iterations here
+        res = scf_solve(well2)
+        assert res.converged
+        assert res.iterations <= 12
+
+    def test_guess_orbitals_reach_same_solution(self, well2):
+        w = well2.grid.spacing
+        _, vecs = np.linalg.eigh(core_hamiltonian(well2))
+        guess = vecs[:, 1:2] / np.sqrt(w)  # deliberately the wrong orbital
+        seeded = scf_solve(well2, guess_orbitals=guess)
+        default = scf_solve(well2)
+        assert seeded.converged
+        assert seeded.energy == pytest.approx(default.energy, abs=1e-9)
 
     def test_total_energy_matches_eigenvalue_bookkeeping(self, well2):
         # E = 2 sum(eps_occ) - interaction double counting; recompute directly
@@ -184,11 +204,172 @@ class TestBandStructure:
         assert bands.occupations[0] == 2
         assert np.all(bands.occupations[1:] == 0)
 
-    def test_threads_reproduce_serial_results(self, crystal2):
-        serial = band_structure(crystal2)
-        threaded = band_structure(crystal2, threads=4)
-        assert np.array_equal(serial.bands, threaded.bands)
+    def test_lockstep_matches_single_momentum_solves(self, crystal2):
+        bands = band_structure(crystal2)
+        for i, k in enumerate(crystal2.kgrid):
+            res = scf_solve(crystal2, k=float(k))
+            assert res.iterations == bands.scf_results[i].iterations
+            assert np.max(np.abs(res.eigenvalues - bands.bands[:, i])) < 1e-12
+
+    def test_zone_center_stays_real_in_odd_grid(self):
+        system = build_soft_coulomb_system((12, 0.5), 2.0, 1.0, 2, PERIODIC, kpoints=5)
+        bands = band_structure(system)
+        center = int(np.flatnonzero(system.kgrid == 0.0)[0])
+        assert not np.iscomplexobj(bands.scf_results[center].orbitals)
+        assert np.iscomplexobj(bands.scf_results[0].orbitals)
+        assert np.all(bands.converged_per_k)
+
+    def test_two_well_cell_converges(self):
+        # two wells per cell, N = 2: near-degenerate bonding/antibonding levels
+        # stalled linear mixing at a residual of 0.3-0.5 for 500 iterations
+        system = build_soft_coulomb_system(
+            (32, 0.47776), 1.91828, 1.035695, 2, PERIODIC, kpoints=8, wells=2
+        )
+        bands = band_structure(system)
+        assert np.all(bands.converged_per_k)
+        assert max(res.iterations for res in bands.scf_results) <= 40
+        assert np.max(bands.symmetry_residuals) <= 1e-8
 
     def test_box_system_rejected(self, well2):
         with pytest.raises(ValueError, match="periodic"):
             band_structure(well2)
+
+
+def _random_kernel(g, rank, rng):
+    """Positive definite same-spin kernel and a square-root factor of it."""
+    a = rng.normal(size=(g, g)) + 1j * rng.normal(size=(g, g))
+    q, _ = np.linalg.qr(a)
+    weights = rng.uniform(0.1, 1.0, size=g) / rank
+    return (q * weights) @ q.conj().T
+
+
+class TestComplexOrbitals:
+    """Invariants of complex Bloch orbitals at k != 0, where a transpose is not a conjugate."""
+
+    @pytest.mark.parametrize("n_electrons", [2, 4])
+    def test_closed_shell_energy_identity_at_finite_momentum(self, n_electrons):
+        system = build_soft_coulomb_system(
+            (12, 0.5), 2.0, 1.0, n_electrons, PERIODIC, kpoints=8
+        )
+        w = system.grid.spacing
+        for k in (float(system.kgrid[0]), float(system.kgrid[2])):
+            res = scf_solve(system, k=k)
+            assert res.converged
+            occ = res.orbitals[:, : res.n_occupied]
+            assert np.max(np.abs(occ.imag)) > 1e-3  # genuinely complex
+            h = core_hamiltonian(system, k)
+            h_ii = np.real(np.einsum("gi,gh,hi->i", occ.conj(), h, occ)) * w
+            expect = float(np.sum(h_ii + res.eigenvalues[: res.n_occupied]))
+            assert hf_total_energy(system, occ, k) == pytest.approx(expect, abs=1e-9)
+            assert res.energy == pytest.approx(expect, abs=1e-9)
+
+    def test_fock_is_energy_gradient_at_finite_momentum(self, crystal2):
+        # E(gamma) is quadratic, so central differences are exact up to rounding;
+        # for Hermitian d: dE = 2 w Re Tr(F d)
+        g = crystal2.grid.npoints
+        w = crystal2.grid.spacing
+        k = float(crystal2.kgrid[1])
+        rng = np.random.default_rng(5)
+        gamma = _random_kernel(g, 1, rng)
+
+        def energy(kernel):
+            lam, u = np.linalg.eigh(kernel)
+            return hf_total_energy(crystal2, u * np.sqrt(lam), k)
+
+        step = 1e-3
+        grad = np.zeros((g, g), dtype=complex)
+        for j in range(g):
+            for l in range(j, g):
+                for phase in ((1.0,) if j == l else (1.0, 1j)):
+                    d = np.zeros((g, g), dtype=complex)
+                    d[j, l] += phase
+                    d[l, j] += np.conj(phase)
+                    slope = (energy(gamma + step * d) - energy(gamma - step * d)) / (2 * step)
+                    if j == l:
+                        grad[j, j] = slope / (4 * w)
+                    elif phase == 1.0:
+                        grad[j, l] += slope / (4 * w)
+                    else:
+                        grad[j, l] += 1j * slope / (4 * w)
+        grad = np.triu(grad) + np.triu(grad, 1).conj().T
+        fock = build_fock(crystal2, 2.0 * np.real(np.diag(gamma)), gamma, k)
+        assert np.max(np.abs(fock.total.imag)) > 1e-3
+        assert np.max(np.abs(grad - fock.total)) < 1e-7
+
+    def test_energy_monotone_on_acceptance_crystal(self, crystal2):
+        bands = band_structure(crystal2)
+        assert np.all(bands.converged_per_k)
+        assert all(res.monotone_after_3 for res in bands.scf_results)
+
+
+def _fix_phases_loop(vectors):
+    """Per-column reference for the stacked phase convention."""
+    out = vectors.copy()
+    for col in range(out.shape[1]):
+        pivot = int(np.argmax(np.abs(out[:, col])))
+        val = out[pivot, col]
+        if np.iscomplexobj(out):
+            mag = abs(val)
+            if mag > 0:
+                out[:, col] *= np.conj(val) / mag
+        elif val < 0:
+            out[:, col] = -out[:, col]
+    return out
+
+
+class TestSolverInternals:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_stacked_phase_fix_matches_column_loop(self, dtype):
+        rng = np.random.default_rng(3)
+        vecs = rng.normal(size=(4, 6, 6)).astype(dtype)
+        if dtype is complex:
+            vecs += 1j * rng.normal(size=(4, 6, 6))
+        vecs[1, :, 2] = 0.0  # a zero column keeps its (absent) phase
+        got = _fix_phases(vecs.copy())
+        # same products, but a broadcast complex multiply may round differently
+        tol = 4 * np.finfo(float).eps * np.max(np.abs(vecs))
+        for i in range(4):
+            assert np.max(np.abs(got[i] - _fix_phases_loop(vecs[i]))) <= tol
+
+    def test_alignment_touches_only_degenerate_matrices(self):
+        rng = np.random.default_rng(4)
+        vecs = rng.normal(size=(3, 4, 4))
+        previous = vecs[:, :, [0, 2, 1, 3]]
+        eigenvalues = np.array([[0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 1.0, 3.0], [0.0, 1.0, 2.0, 3.0]])
+        out = _align_degenerate(eigenvalues, vecs.copy(), previous, np.arange(3))
+        assert np.array_equal(out[0], vecs[0])
+        assert np.array_equal(out[2], vecs[2])
+        assert np.array_equal(out[1], vecs[1][:, [0, 2, 1, 3]])
+
+    def test_pulay_matrix_matches_explicit_commutators(self):
+        # B_ij = Tr(e_i^H e_j) with e_i = [F_i, gamma_i] built as full matrices
+        rng = np.random.default_rng(6)
+        g, nocc, w = 7, 2, 0.5
+        history = _PulayHistory(1, g, nocc, complex, size=3)
+        errors = []
+        for _ in range(4):  # one more push than slots: the oldest is replaced
+            q, _ = np.linalg.qr(rng.normal(size=(g, g)) + 1j * rng.normal(size=(g, g)))
+            psi = q[:, :nocc] / np.sqrt(w)
+            f = rng.normal(size=(g, g)) + 1j * rng.normal(size=(g, g))
+            f = f + f.conj().T
+            fpsi = f @ psi
+            err = fpsi - psi @ (psi.conj().T @ fpsi * w)
+            norm2 = history.push(np.array([0]), psi[None], err[None])
+            gamma = psi @ psi.conj().T
+            errors.append(f @ gamma - gamma @ f)
+            assert norm2[0] == pytest.approx(np.sum(np.abs(errors[-1]) ** 2), rel=1e-12)
+        slots = [3, 1, 2]  # slot i holds push slots[i]
+        expect = np.array(
+            [[np.trace(errors[a].conj().T @ errors[b]).real for b in slots] for a in slots]
+        )
+        assert np.allclose(history.b[0], expect, rtol=1e-12, atol=1e-10)
+
+    def test_pulay_drops_oldest_on_linear_dependence(self):
+        history = _PulayHistory(1, 3, 1, float, size=4)
+        psi = np.array([[[1.0], [0.0], [0.0]]])
+        err = np.array([[[0.0], [1e-3], [0.0]]])
+        history.push(np.array([0]), psi, err)
+        history.push(np.array([0]), psi, err)  # identical: B is singular
+        coeffs = history.coefficients(np.array([0]))
+        assert np.allclose(coeffs, [[0.0, 1.0, 0.0, 0.0]])
+        assert history.valid.tolist() == [[False, True, False, False]]
