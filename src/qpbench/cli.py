@@ -14,16 +14,11 @@ from pathlib import Path
 
 from . import __version__, reports
 from .config import ConfigError, RunConfig
-from .pipeline import STAGES, run_pipeline
+from .pipeline import STAGE_TABLE, STAGES, run_pipeline
 from .verification import run_all_checks
 
-_STAGE_COMMANDS = {
-    "oracle": ("oracle",),
-    "bands": ("bands",),
-    "quasiparticle": ("bands", "quasiparticle"),
-    "dyson": ("bands", "dyson"),
-    "spectrum": ("spectrum",),
-}
+# a stage command runs that stage and the stages it needs
+_STAGE_COMMANDS = {name: (*needs, name) for name, (_, needs) in STAGE_TABLE.items()}
 
 EXIT_OK = 0
 EXIT_FAILURE = 1

@@ -103,7 +103,6 @@ _SCHEMA = {
         "count": (_number(lo=2, integer=True), 2000),
         "pad": (_number(lo=0), 1.0),
         "eta": (_number(lo=0, lo_open=True), 1e-3),
-        "method": (_choice("direct", "iterative"), "direct"),
     },
     "spectrum": {
         "enabled": (_boolean, True),

@@ -7,7 +7,7 @@ propagator solves G = G0 + G0 Sigma G under a model correlation self-energy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,7 +120,6 @@ class GreenFunction:
     matrices: np.ndarray
     kind: str  # "free" | "dressed"
     flagged: tuple = ()
-    notes: tuple = ()
 
     @property
     def dim(self) -> int:
@@ -159,25 +158,24 @@ def free_green(
     return GreenFunction(omegas=omegas, eta=eta, matrices=matrices, kind="free")
 
 
+def _defect(g: np.ndarray, g0: np.ndarray, sig: np.ndarray) -> float:
+    """Max-norm defect of G - G0 - G0 Sigma G at one frequency."""
+    return float(np.max(np.abs(g - g0 - g0 @ sig @ g)))
+
+
 def dyson_solve(
     g0: GreenFunction,
     sigma: SelfEnergyModel,
-    method: str = "direct",
-    damping: float = 0.5,
-    max_sweeps: int = 200,
     residual_tol: float = 1e-10,
 ) -> GreenFunction:
     """Dressed propagator satisfying G = G0 + G0 Sigma G at every frequency.
 
-    The direct route solves (I - G0 Sigma) G = G0; the iterative route runs a
-    damped fixed point and falls back to the direct solve when the expansion
-    does not contract.  Frequencies where (I - G0 Sigma) is singular are
-    flagged rather than silently dropped.
+    Solves (I - G0 Sigma) G = G0 per frequency.  Frequencies where the solve
+    is singular or leaves a defect above ``residual_tol`` are flagged rather
+    than silently dropped.
     """
     if sigma.dim != g0.dim:
         raise ValueError("self-energy dimension does not match the propagator")
-    if method not in ("direct", "iterative"):
-        raise ValueError(f"unknown method {method!r}")
     if sigma.kind == ZERO:
         # identical assembly: the dressed propagator is the free one
         return GreenFunction(
@@ -187,52 +185,26 @@ def dyson_solve(
             kind="dressed",
         )
     nw = g0.omegas.size
-    d = g0.dim
-    eye = np.eye(d)
+    eye = np.eye(g0.dim)
     out = np.empty_like(g0.matrices)
     flagged = []
-    notes = []
     for i in range(nw):
         g0i = g0.matrices[i]
         sig = sigma.at_frequency(i, nw)
-        lhs = eye - g0i @ sig
-        solved = None
-        if method == "iterative":
-            radius = float(np.max(np.abs(np.linalg.eigvals(g0i @ sig))))
-            if radius < 1.0:
-                g = g0i.copy()
-                for _ in range(max_sweeps):
-                    nxt = (1.0 - damping) * g + damping * (g0i + g0i @ sig @ g)
-                    if np.max(np.abs(nxt - g)) < 1e-13:
-                        g = nxt
-                        break
-                    g = nxt
-                if np.max(np.abs(g - g0i - g0i @ sig @ g)) <= residual_tol:
-                    solved = g
-                else:
-                    notes.append(f"iteration stalled at frequency index {i}; direct fallback")
-            else:
-                notes.append(
-                    f"expansion not contractive at frequency index {i}; direct fallback"
-                )
-        if solved is None:
-            try:
-                solved = np.linalg.solve(lhs, g0i)
-            except np.linalg.LinAlgError:
-                flagged.append(i)
-                solved = np.full((d, d), np.nan, dtype=complex)
-        if i not in flagged:
-            residual = np.max(np.abs(solved - g0i - g0i @ sig @ solved))
-            if residual > residual_tol:
-                flagged.append(i)
-        out[i] = solved
+        try:
+            out[i] = np.linalg.solve(eye - g0i @ sig, g0i)
+        except np.linalg.LinAlgError:
+            flagged.append(i)
+            out[i] = np.nan
+            continue
+        if _defect(out[i], g0i, sig) > residual_tol:
+            flagged.append(i)
     return GreenFunction(
         omegas=g0.omegas,
         eta=g0.eta,
         matrices=out,
         kind="dressed",
         flagged=tuple(flagged),
-        notes=tuple(notes),
     )
 
 
@@ -243,9 +215,7 @@ def dyson_residual(g: GreenFunction, g0: GreenFunction, sigma: SelfEnergyModel) 
     for i in range(nw):
         if i in g.flagged:
             continue
-        sig = sigma.at_frequency(i, nw)
-        defect = g.matrices[i] - g0.matrices[i] - g0.matrices[i] @ sig @ g.matrices[i]
-        worst = max(worst, float(np.max(np.abs(defect))))
+        worst = max(worst, _defect(g.matrices[i], g0.matrices[i], sigma.at_frequency(i, nw)))
     return worst
 
 

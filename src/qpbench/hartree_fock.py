@@ -56,6 +56,9 @@ class SCFResult:
     energy: float
     momentum: float | None
     n_occupied: int
+    # energy non-increasing from iteration 3 on; a diagnostic only, since a
+    # DIIS iterate's energy may rise (by ~4e-6 on two-well cells) on the way
+    # to convergence.  ``converged`` and ``final_residual`` are the verdict.
     monotone_after_3: bool
     fock: FockOperator
 

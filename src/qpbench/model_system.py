@@ -162,6 +162,12 @@ def build_soft_coulomb_system(
     ``well_depth`` per center; periodic systems place ``wells`` equally spaced
     centers per cell and measure distances with the minimum-image convention
     so the potential carries the lattice period exactly.
+
+    The pair kernel is :func:`soft_coulomb_kernel` of the grid points for
+    both boundaries: periodic systems keep open-chain in-cell distances
+    ``|x - x'|``, not minimum-image ones, so electrons interact as on one
+    isolated cell.  This is a modelling choice; wrapping the kernel would
+    change every periodic output.
     """
     if softening <= 0:
         raise ValueError("softening must be positive (kernel singularity otherwise)")

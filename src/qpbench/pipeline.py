@@ -38,16 +38,6 @@ from .model_system import (
 )
 from .quasiparticle import assemble_level, band_midpoint, mass_shift, reference_point
 
-_STAGE_DEPENDENCIES = {
-    "oracle": (),
-    "bands": (),
-    "quasiparticle": ("bands",),
-    "dyson": ("bands",),
-    "spectrum": (),
-}
-
-STAGES = tuple(_STAGE_DEPENDENCIES)
-
 
 def build_system(config: RunConfig) -> ModelSystem:
     sc = config["system"]
@@ -253,7 +243,7 @@ def _stage_dyson(system, config, out_dir, chash, state):
     )
     g0 = free_green(hamiltonian, omegas, eta=dy["eta"])
     sigma = SelfEnergyModel.zero(g0.dim) if not np.any(kernel) else SelfEnergyModel.constant(kernel)
-    dressed = dyson_solve(g0, sigma, method=dy["method"])
+    dressed = dyson_solve(g0, sigma)
     residual = dyson_residual(dressed, g0, sigma)
     alignment = peak_alignment_error(dressed, levels)
     weights = dressed.spectral_function()
@@ -268,11 +258,9 @@ def _stage_dyson(system, config, out_dir, chash, state):
     record = {
         "momentum": float(bands.kgrid[idx]),
         "eta": dy["eta"],
-        "method": dy["method"],
         "frequency_count": dy["count"],
         "dyson_residual": residual,
         "flagged_frequencies": list(dressed.flagged),
-        "notes": list(dressed.notes),
         "dressed_levels": levels,
         "peak_alignment_error": alignment,
         "grid_spacing": float(omegas[1] - omegas[0]),
@@ -304,6 +292,19 @@ def _stage_spectrum(system, config, out_dir, chash, state):
     return [csv_path], metrics
 
 
+# name -> (runner, stages it needs), in run order; the one stage graph.  A stage
+# runs unless its config section sets ``enabled: false``.
+STAGE_TABLE = {
+    "oracle": (_stage_oracle, ()),
+    "bands": (_stage_bands, ()),
+    "quasiparticle": (_stage_quasiparticle, ("bands",)),
+    "dyson": (_stage_dyson, ("bands",)),
+    "spectrum": (_stage_spectrum, ()),
+}
+
+STAGES = tuple(STAGE_TABLE)
+
+
 def run_pipeline(
     config: RunConfig,
     out_dir,
@@ -321,26 +322,16 @@ def run_pipeline(
     system = build_system(config)
     reports.write_json(out_dir / "system.json", system.snapshot(), chash)
 
-    enabled = {
-        "oracle": config["oracle"]["enabled"],
-        "bands": True,
-        "quasiparticle": config["quasiparticle"]["enabled"],
-        "dyson": config["dyson"]["enabled"],
-        "spectrum": config["spectrum"]["enabled"],
-    }
     state: dict = {}
     stage_report: dict = {}
     degraded = False
-    for name in STAGES:
-        if name not in stages or not enabled[name]:
+    for name, (runner, needs) in STAGE_TABLE.items():
+        section = config.data.get(name, {})
+        if name not in stages or not section.get("enabled", True):
             stage_report[name] = {"status": "disabled"}
             continue
         failed_dep = next(
-            (
-                dep
-                for dep in _STAGE_DEPENDENCIES[name]
-                if stage_report.get(dep, {}).get("status") != "completed"
-            ),
+            (dep for dep in needs if stage_report[dep]["status"] != "completed"),
             None,
         )
         if failed_dep is not None:
@@ -351,18 +342,7 @@ def run_pipeline(
             degraded = True
             continue
         try:
-            if name == "oracle":
-                artifacts, metrics = _stage_oracle(system, config, out_dir, chash, state)
-            elif name == "bands":
-                artifacts, metrics = _stage_bands(system, config, out_dir, chash, state)
-            elif name == "quasiparticle":
-                artifacts, metrics = _stage_quasiparticle(
-                    system, config, out_dir, chash, state
-                )
-            elif name == "dyson":
-                artifacts, metrics = _stage_dyson(system, config, out_dir, chash, state)
-            else:
-                artifacts, metrics = _stage_spectrum(system, config, out_dir, chash, state)
+            artifacts, metrics = runner(system, config, out_dir, chash, state)
             stage_report[name] = {
                 "status": "completed",
                 "artifacts": [p.name for p in artifacts],

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from qpbench.cli import main
 from qpbench.config import ConfigError, RunConfig, system_hash
 from qpbench.hartree_fock import band_structure
 from qpbench.model_system import build_soft_coulomb_system
-from qpbench.pipeline import build_system, run_pipeline
+from qpbench.pipeline import STAGES, build_system, run_pipeline
 from qpbench.quasiparticle import QuasiparticleLevel
 from qpbench.reports import band_plot_svg, format_float, write_csv
 
@@ -39,9 +41,18 @@ class TestConfig:
             RunConfig.from_dict({"scf": {"mixling": 0.3}})
 
     def test_removed_mixing_key_rejected(self):
-        # the SCF is DIIS only; a leftover linear-mixing setting fails loudly
-        with pytest.raises(ConfigError, match="scf.'mixing'"):
-            RunConfig.from_dict({"scf": {"mixing": 0.5}})
+        # the SCF is DIIS only and the Dyson solve direct only; a leftover
+        # setting of a removed option fails loudly
+        for section, key, value in (("scf", "mixing", 0.5), ("dyson", "method", "direct")):
+            with pytest.raises(ConfigError, match=f"{section}.'{key}'"):
+                RunConfig.from_dict({section: {key: value}})
+
+    def test_readme_example_config_is_valid(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+        assert len(blocks) == 1
+        config = RunConfig.from_dict(json.loads(blocks[0]))
+        assert config["system"]["boundary"] == "periodic"
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -139,6 +150,10 @@ class TestPipeline:
         )
         report = run_pipeline(config, tmp_path / "out")
         assert not report["degraded"]
+        # a section with enabled: false disables its stage; bands has no switch
+        assert {name: r["status"] for name, r in report["stages"].items()} == {
+            name: "completed" if name == "bands" else "disabled" for name in STAGES
+        }
         bands = report["stages"]["bands"]
         assert bands["status"] == "completed"
         assert bands["metrics"]["self_action_residual"] <= 1e-12
@@ -221,11 +236,24 @@ class TestCli:
 
     def test_stage_subcommand_runs_dependencies_only(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, CRYSTAL_CONFIG)
-        code = main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")])
-        assert code == 0
-        names = {p.name for p in (tmp_path / "out").iterdir()}
-        assert "spectrum.csv" in names
-        assert "bands.csv" not in names
+        expected = {
+            "oracle": {"oracle"},
+            "bands": {"bands"},
+            "quasiparticle": {"bands", "quasiparticle"},
+            "dyson": {"bands", "dyson"},
+            "spectrum": {"spectrum"},
+        }
+        for command, completed in expected.items():
+            out_dir = tmp_path / command
+            assert main([command, "--config", cfg, "--out", str(out_dir)]) == 0, command
+            report = json.loads((out_dir / "report.json").read_text())
+            status = {name: record["status"] for name, record in report["stages"].items()}
+            assert status == {
+                name: "completed" if name in completed else "disabled" for name in STAGES
+            }, command
+            names = {p.name for p in out_dir.iterdir()}
+            assert ("bands.csv" in names) == ("bands" in completed), command
+            assert ("spectrum.csv" in names) == ("spectrum" in completed), command
 
     def test_oracle_subcommand_exports_keyed_record(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, CRYSTAL_CONFIG)

@@ -115,15 +115,6 @@ class TestDysonSolve:
         step = omegas[1] - omegas[0]
         assert peak_alignment_error(g, levels) <= step
 
-    def test_iterative_matches_direct_when_contractive(self):
-        h = random_hermitian(3, seed=12)
-        g0 = free_green(h, np.linspace(-4, 4, 40), eta=0.5)
-        sigma = SelfEnergyModel.constant(random_hermitian(3, seed=13, scale=0.05))
-        direct = dyson_solve(g0, sigma, method="direct")
-        iterative = dyson_solve(g0, sigma, method="iterative")
-        assert np.max(np.abs(direct.matrices - iterative.matrices)) < 1e-9
-        assert dyson_residual(iterative, g0, sigma) <= 1e-10
-
     def test_singular_frequency_flagged_not_dropped(self):
         # rigged table makes (I - G0 Sigma) exactly singular at omega = 0
         eta = 1e-3
@@ -134,6 +125,17 @@ class TestDysonSolve:
         g = dyson_solve(g0, sigma)
         assert 1 in g.flagged
         assert g.matrices.shape == g0.matrices.shape  # flagged, not dropped
+
+    def test_defect_above_tolerance_flagged_and_excluded(self):
+        h = random_hermitian(3, seed=12)
+        g0 = free_green(h, np.linspace(-4, 4, 40), eta=0.5)
+        sigma = SelfEnergyModel.constant(random_hermitian(3, seed=13, scale=0.05))
+        # a negative tolerance fails every frequency's defect test
+        g = dyson_solve(g0, sigma, residual_tol=-1.0)
+        assert g.flagged == tuple(range(40))
+        assert np.all(np.isfinite(g.matrices))  # solved and kept, only flagged
+        assert dyson_residual(g, g0, sigma) == 0.0
+        assert dyson_solve(g0, sigma).flagged == ()
 
     def test_frequency_table_length_enforced(self):
         g0 = free_green(np.eye(2), np.linspace(-1, 1, 10), eta=1e-3)

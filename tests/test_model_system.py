@@ -91,6 +91,18 @@ class TestModelSystemInvariants:
         # two wells per cell: the potential repeats after half a cell
         assert np.max(np.abs(u - np.roll(u, 8))) < 1e-12
 
+    def test_periodic_pair_kernel_uses_open_chain_distances(self):
+        # a documented choice: only the external potential wraps by minimum
+        # image; switching the kernel too would change every periodic output
+        system = build_soft_coulomb_system(
+            (16, 0.5), 2.0, 1.0, 2, PERIODIC, kpoints=4
+        )
+        pts = system.grid.points
+        v = system.interaction_kernel
+        assert np.array_equal(v, soft_coulomb_kernel(pts, 1.0))
+        # the grid ends sit one spacing apart by minimum image, 7.5 apart here
+        assert v[0, -1] == pytest.approx(1.0 / np.sqrt(7.5**2 + 1.0), rel=1e-14)
+
     def test_snapshot_roundtrips_key_fields(self):
         system = build_soft_coulomb_system((16, 0.5), 2.0, 1.0, 2, BOX)
         snap = system.snapshot()
