@@ -16,6 +16,9 @@ CONSTANT = "constant"
 TABULATED = "tabulated"
 
 _HERMITICITY_TOL = 1e-12
+# complex elements per (frequency block, d, d) temporary: about 64 KB.  A block
+# holds _BLOCK_ELEMENTS // d**2 frequencies, and at least one.
+_BLOCK_ELEMENTS = 1 << 12
 
 
 def _hermiticity_error(m: np.ndarray) -> float:
@@ -48,7 +51,7 @@ class SelfEnergyModel:
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise ValueError("constant kernel must be a square matrix")
         err = _hermiticity_error(k)
-        if err > _HERMITICITY_TOL:
+        if not err <= _HERMITICITY_TOL:  # NaN is rejected too
             raise ValueError(f"constant self-energy kernel not Hermitian (error {err:.2e})")
         return cls(kind=CONSTANT, dim=k.shape[0], kernel=k)
 
@@ -100,11 +103,15 @@ class SelfEnergyModel:
             return np.zeros((self.dim, self.dim))
         if self.kind == CONSTANT:
             return self.kernel
+        return self.frequency_table(n_frequencies)[index]
+
+    def frequency_table(self, n_frequencies: int) -> np.ndarray:
+        """The (n_frequencies, d, d) kernels of a tabulated model."""
         if self.frequency_kernels is None:
             raise ValueError("tabulated model carries no frequency kernels")
         if self.frequency_kernels.shape[0] != n_frequencies:
             raise ValueError("frequency table does not match the propagator grid")
-        return self.frequency_kernels[index]
+        return self.frequency_kernels
 
 
 @dataclass(frozen=True)
@@ -112,7 +119,10 @@ class GreenFunction:
     """Frequency-sampled matrix propagator.
 
     ``matrices[i]`` is the propagator at ``omegas[i] + 1j * eta``, normalized
-    to an identity source.
+    to an identity source.  A dressed propagator carries ``defects[i]``, the
+    max-norm of G - G0 - G0 Sigma G at each frequency (NaN where the solve
+    failed), and ``flagged``, the frequencies whose defect is not within the
+    solver's tolerance.
     """
 
     omegas: np.ndarray
@@ -120,10 +130,17 @@ class GreenFunction:
     matrices: np.ndarray
     kind: str  # "free" | "dressed"
     flagged: tuple = ()
+    defects: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
         return self.matrices.shape[1]
+
+    def retained(self) -> np.ndarray:
+        """Boolean mask of the frequencies that are not flagged."""
+        mask = np.ones(self.omegas.size, dtype=bool)
+        mask[list(self.flagged)] = False
+        return mask
 
     def spectral_function(self) -> np.ndarray:
         """-Im Tr G / pi at each sampled frequency."""
@@ -138,29 +155,51 @@ def default_frequency_grid(
     return np.linspace(lo, hi, count)
 
 
+def _blocks(nw: int, d: int):
+    """Slices of a frequency axis of length ``nw`` in blocks of d x d matrices."""
+    step = max(1, _BLOCK_ELEMENTS // (d * d))
+    return (slice(start, min(start + step, nw)) for start in range(0, nw, step))
+
+
 def free_green(
     hf_hamiltonian: np.ndarray,
     omega_grid: np.ndarray,
     eta: float = 1e-3,
 ) -> GreenFunction:
-    """Free propagator (w + i eta - H)^-1 of a Hermitian mean-field operator."""
+    """Free propagator (w + i eta - H)^-1 of a Hermitian mean-field operator.
+
+    Inverts block by block into one preallocated (nw, d, d) result, so no
+    temporary the size of the propagator is made.
+    """
     h = np.asarray(hf_hamiltonian)
     if eta <= 0:
         raise ValueError("broadening eta must be positive")
     err = _hermiticity_error(h)
-    if err > _HERMITICITY_TOL:
+    if not err <= _HERMITICITY_TOL:  # NaN is rejected too
         raise ValueError(f"mean-field Hamiltonian not Hermitian (error {err:.2e})")
     omegas = np.asarray(omega_grid, dtype=float)
     d = h.shape[0]
     eye = np.eye(d)
-    shifted = (omegas[:, None, None] + 1j * eta) * eye[None, :, :] - h[None, :, :]
-    matrices = np.linalg.inv(shifted)
+    matrices = np.empty((omegas.size, d, d), dtype=complex)
+    for b in _blocks(omegas.size, d):
+        matrices[b] = np.linalg.inv((omegas[b, None, None] + 1j * eta) * eye - h)
     return GreenFunction(omegas=omegas, eta=eta, matrices=matrices, kind="free")
 
 
 def _defect(g: np.ndarray, g0: np.ndarray, sig: np.ndarray) -> float:
     """Max-norm defect of G - G0 - G0 Sigma G at one frequency."""
     return float(np.max(np.abs(g - g0 - g0 @ sig @ g)))
+
+
+def _solve_block(g0: np.ndarray, sig: np.ndarray, out: np.ndarray, defects: np.ndarray) -> None:
+    """Solve (I - G0 Sigma) G = G0 for a stack of frequencies into ``out``.
+
+    ``defects`` receives each frequency's max-norm defect of G - G0 - G0 Sigma G.
+    A singular frequency raises ``LinAlgError`` for the whole stack.
+    """
+    g0_sig = g0 @ sig
+    out[...] = np.linalg.solve(np.eye(g0.shape[-1]) - g0_sig, g0)
+    defects[...] = np.max(np.abs(out - g0 - g0_sig @ out), axis=(1, 2))
 
 
 def dyson_solve(
@@ -170,12 +209,13 @@ def dyson_solve(
 ) -> GreenFunction:
     """Dressed propagator satisfying G = G0 + G0 Sigma G at every frequency.
 
-    Solves (I - G0 Sigma) G = G0 per frequency.  Frequencies where the solve
-    is singular or leaves a defect above ``residual_tol`` are flagged rather
-    than silently dropped.
+    Solves (I - G0 Sigma) G = G0 in blocks of frequencies.  Frequencies where
+    the solve is singular, or whose defect is not within ``residual_tol``
+    (NaN included), are flagged rather than silently dropped.
     """
     if sigma.dim != g0.dim:
         raise ValueError("self-energy dimension does not match the propagator")
+    nw = g0.omegas.size
     if sigma.kind == ZERO:
         # identical assembly: the dressed propagator is the free one
         return GreenFunction(
@@ -183,40 +223,51 @@ def dyson_solve(
             eta=g0.eta,
             matrices=g0.matrices.copy(),
             kind="dressed",
+            defects=np.zeros(nw),
         )
-    nw = g0.omegas.size
-    eye = np.eye(g0.dim)
+    if sigma.kind == CONSTANT:  # a read-only view, not nw copies
+        kernels = np.broadcast_to(sigma.kernel, (nw,) + sigma.kernel.shape)
+    else:
+        kernels = sigma.frequency_table(nw)
     out = np.empty_like(g0.matrices)
-    flagged = []
-    for i in range(nw):
-        g0i = g0.matrices[i]
-        sig = sigma.at_frequency(i, nw)
+    defects = np.empty(nw)
+    for b in _blocks(nw, g0.dim):
         try:
-            out[i] = np.linalg.solve(eye - g0i @ sig, g0i)
+            _solve_block(g0.matrices[b], kernels[b], out[b], defects[b])
         except np.linalg.LinAlgError:
-            flagged.append(i)
-            out[i] = np.nan
-            continue
-        if _defect(out[i], g0i, sig) > residual_tol:
-            flagged.append(i)
+            # redo this block one frequency at a time; only the singular ones fail
+            for i in range(b.start, b.stop):
+                one = slice(i, i + 1)
+                try:
+                    _solve_block(g0.matrices[one], kernels[one], out[one], defects[one])
+                except np.linalg.LinAlgError:
+                    out[i] = np.nan
+                    defects[i] = np.nan
+    flagged = np.flatnonzero(~(defects <= residual_tol))
     return GreenFunction(
         omegas=g0.omegas,
         eta=g0.eta,
         matrices=out,
         kind="dressed",
-        flagged=tuple(flagged),
+        flagged=tuple(flagged.tolist()),
+        defects=defects,
     )
 
 
 def dyson_residual(g: GreenFunction, g0: GreenFunction, sigma: SelfEnergyModel) -> float:
-    """Max-norm defect of G - G0 - G0 Sigma G over all retained frequencies."""
+    """Max-norm defect of G - G0 - G0 Sigma G over all retained frequencies.
+
+    Recomputes each defect frequency by frequency, independently of the
+    solver's own; a non-finite defect makes the result NaN.
+    """
     nw = g0.omegas.size
-    worst = 0.0
-    for i in range(nw):
-        if i in g.flagged:
-            continue
-        worst = max(worst, _defect(g.matrices[i], g0.matrices[i], sigma.at_frequency(i, nw)))
-    return worst
+    retained = g.retained()
+    defects = [
+        _defect(g.matrices[i], g0.matrices[i], sigma.at_frequency(i, nw))
+        for i in range(nw)
+        if retained[i]
+    ]
+    return float(np.max(defects, initial=0.0))
 
 
 def dressed_eigenproblem(
@@ -228,7 +279,7 @@ def dressed_eigenproblem(
     if s.shape != h.shape:
         raise ValueError("kernel dimension does not match the Hamiltonian")
     err = _hermiticity_error(s)
-    if err > _HERMITICITY_TOL:
+    if not err <= _HERMITICITY_TOL:  # NaN is rejected too
         raise ValueError(f"self-energy kernel not Hermitian (error {err:.2e})")
     return np.linalg.eigvalsh(h + s)
 
@@ -236,12 +287,8 @@ def dressed_eigenproblem(
 def spectral_peaks(green: GreenFunction) -> np.ndarray:
     """Frequencies of the local maxima of the spectral function."""
     a = green.spectral_function()
-    idx = [
-        i
-        for i in range(1, a.size - 1)
-        if a[i] > a[i - 1] and a[i] >= a[i + 1]
-    ]
-    return green.omegas[idx]
+    inner = a[1:-1]
+    return green.omegas[1:-1][(inner > a[:-2]) & (inner >= a[2:])]
 
 
 def peak_alignment_error(green: GreenFunction, levels: np.ndarray) -> float:
@@ -249,4 +296,5 @@ def peak_alignment_error(green: GreenFunction, levels: np.ndarray) -> float:
     peaks = spectral_peaks(green)
     if peaks.size == 0:
         return float("inf")
-    return float(max(np.min(np.abs(peaks - e)) for e in np.asarray(levels)))
+    distances = np.abs(peaks[None, :] - np.asarray(levels)[:, None])
+    return float(np.max(np.min(distances, axis=1)))

@@ -1,6 +1,12 @@
+import dataclasses
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from qpbench import pipeline
+from qpbench.config import RunConfig
 from qpbench.green_dyson import (
     SelfEnergyModel,
     default_frequency_grid,
@@ -17,6 +23,30 @@ def random_hermitian(dim, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return scale * 0.5 * (m + m.conj().T)
+
+
+def reference_free_green(h, omegas, eta):
+    """One inverse per frequency: the unblocked route."""
+    eye = np.eye(h.shape[0])
+    return np.array([np.linalg.inv((w + 1j * eta) * eye - h) for w in omegas])
+
+
+def reference_dyson(g0, kernels, tol=1e-10):
+    """One solve per frequency: matrices, defects and flagged indices."""
+    eye = np.eye(g0.dim)
+    out = np.empty_like(g0.matrices)
+    defects = np.empty(g0.omegas.size)
+    for i, g0i in enumerate(g0.matrices):
+        sig = kernels[i]
+        try:
+            out[i] = np.linalg.solve(eye - g0i @ sig, g0i)
+        except np.linalg.LinAlgError:
+            out[i] = np.nan
+            defects[i] = np.nan
+            continue
+        defects[i] = np.max(np.abs(out[i] - g0i - g0i @ sig @ out[i]))
+    flagged = tuple(i for i, dfc in enumerate(defects) if not dfc <= tol)
+    return out, defects, flagged
 
 
 class TestFreeGreen:
@@ -75,6 +105,12 @@ class TestFreeGreen:
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="Hermitian"):
             free_green(bad, np.array([0.0]), eta=1e-3)
+
+    def test_nan_hamiltonian_rejected(self):
+        h = np.eye(3)
+        h[1, 2] = np.nan
+        with pytest.raises(ValueError, match="Hermitian"):
+            free_green(h, np.array([0.0]), eta=1e-3)
 
     def test_nonpositive_broadening_rejected(self):
         with pytest.raises(ValueError, match="eta"):
@@ -137,6 +173,25 @@ class TestDysonSolve:
         assert dyson_residual(g, g0, sigma) == 0.0
         assert dyson_solve(g0, sigma).flagged == ()
 
+    def test_non_finite_defect_flagged(self):
+        # a kernel that is NaN at one frequency leaves a non-finite G there
+        g0 = free_green(np.diag([-1.0, 0.0, 1.0]), np.linspace(-2, 2, 6), eta=1e-2)
+        kernels = np.zeros((6, 3, 3))
+        kernels[2, 0, 0] = np.nan
+        g = dyson_solve(g0, SelfEnergyModel.tabulated_frequency(kernels))
+        assert not np.all(np.isfinite(g.matrices[2]))
+        assert g.flagged == (2,)
+        assert np.isnan(g.defects[2])
+
+    def test_residual_propagates_non_finite_defect(self):
+        g0 = free_green(np.diag([-1.0, 0.0, 1.0]), np.linspace(-2, 2, 6), eta=1e-2)
+        sigma = SelfEnergyModel.constant(0.1 * np.eye(3))
+        g = dyson_solve(g0, sigma)
+        broken = g.matrices.copy()
+        broken[2] = np.nan
+        unflagged = dataclasses.replace(g, matrices=broken, flagged=())
+        assert np.isnan(dyson_residual(unflagged, g0, sigma))
+
     def test_frequency_table_length_enforced(self):
         g0 = free_green(np.eye(2), np.linspace(-1, 1, 10), eta=1e-3)
         sigma = SelfEnergyModel.tabulated_frequency(np.zeros((5, 2, 2)))
@@ -175,11 +230,19 @@ class TestDressedEigenproblem:
         with pytest.raises(ValueError, match="Hermitian"):
             dressed_eigenproblem(np.eye(2), bad)
 
+    def test_nan_kernel_rejected(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            dressed_eigenproblem(np.eye(2), np.full((2, 2), np.nan))
+
 
 class TestSelfEnergyModel:
     def test_constant_requires_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             SelfEnergyModel.constant(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_constant_rejects_nan_kernel(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            SelfEnergyModel.constant(np.array([[0.1, np.nan], [np.nan, 0.1]]))
 
     def test_separable_builds_rank_one(self):
         v = np.array([1.0, 0.0])
@@ -204,3 +267,125 @@ class TestSpectralFunction:
         step = omegas[1] - omegas[0]
         for e in levels:
             assert np.min(np.abs(peaks - e)) <= step
+
+    def test_peaks_match_reference_loop(self):
+        h = random_hermitian(6, seed=17)
+        g = free_green(h, np.linspace(-4, 4, 777), eta=5e-2)
+        a = g.spectral_function()
+        idx = [i for i in range(1, a.size - 1) if a[i] > a[i - 1] and a[i] >= a[i + 1]]
+        peaks = spectral_peaks(g)
+        np.testing.assert_array_equal(peaks, g.omegas[idx])
+        levels = np.linalg.eigvalsh(h)
+        expect = max(np.min(np.abs(peaks - e)) for e in levels)
+        assert peak_alignment_error(g, levels) == expect
+
+    def test_plateau_and_short_grids(self):
+        omegas = np.arange(7.0)
+        spectral = np.array([0.0, 1.0, 1.0, 0.5, 2.0, 2.0, 3.0])
+        # a Green function whose spectral function is the array above
+        g = dataclasses.replace(
+            free_green(np.eye(1), omegas, eta=1.0),
+            matrices=(-1j * np.pi * spectral)[:, None, None],
+        )
+        np.testing.assert_array_equal(spectral_peaks(g), [1.0, 4.0])  # first of a plateau
+        for n in range(3):
+            assert spectral_peaks(free_green(np.eye(1), np.zeros(n), eta=1.0)).size == 0
+
+
+class TestBlockedFrequencyAxis:
+    """The blocked routes against one-frequency-at-a-time reference loops."""
+
+    # (dimension, frequencies): 455 frequencies per block at d = 3, so 1000 is
+    # not a multiple of the block and 100 is less than one; d = 64 puts one
+    # frequency in each block
+    SHAPES = [(3, 1000), (3, 100), (20, 37), (64, 5)]
+
+    @pytest.mark.parametrize("dim,count", SHAPES)
+    def test_free_green_matches_reference(self, dim, count):
+        h = random_hermitian(dim, seed=dim)
+        omegas = np.linspace(-3, 3, count)
+        g = free_green(h, omegas, eta=1e-2)
+        np.testing.assert_array_equal(g.matrices, reference_free_green(h, omegas, 1e-2))
+
+    @pytest.mark.parametrize("dim,count", SHAPES)
+    def test_dyson_solve_matches_reference(self, dim, count):
+        g0 = free_green(random_hermitian(dim, seed=dim), np.linspace(-3, 3, count), eta=1e-2)
+        kernel = random_hermitian(dim, seed=dim + 1, scale=0.1)
+        g = dyson_solve(g0, SelfEnergyModel.constant(kernel))
+        out, defects, flagged = reference_dyson(g0, [kernel] * count)
+        np.testing.assert_array_equal(g.matrices, out)
+        np.testing.assert_array_equal(g.defects, defects)
+        assert g.flagged == flagged == ()
+
+    def test_frequency_table_across_block_boundaries(self):
+        # 256 frequencies per block at d = 4: 600 spans three blocks
+        count = 600
+        g0 = free_green(random_hermitian(4, seed=18), np.linspace(-3, 3, count), eta=1e-2)
+        kernels = np.array([random_hermitian(4, seed=s, scale=0.05) for s in range(count)])
+        g = dyson_solve(g0, SelfEnergyModel.tabulated_frequency(kernels))
+        out, defects, flagged = reference_dyson(g0, kernels)
+        np.testing.assert_array_equal(g.matrices, out)
+        np.testing.assert_array_equal(g.defects, defects)
+        assert g.flagged == flagged
+
+    def test_singular_frequency_inside_a_block(self):
+        # (I - G0 Sigma) is singular at index 4 of 9, all in one block
+        eta = 1e-2
+        omegas = np.linspace(-1, 1, 9)
+        g0 = free_green(np.diag([0.0, 0.5]), omegas, eta=eta)
+        kernels = np.zeros((9, 2, 2), dtype=complex)
+        kernels[:, 0, 0] = 0.1
+        kernels[4, 0, 0] = omegas[4] + 1j * eta  # Sigma = 1 / G0 on level 0
+        g = dyson_solve(g0, SelfEnergyModel.tabulated_frequency(kernels))
+        assert g.flagged == (4,)
+        assert np.all(np.isnan(g.matrices[4])) and np.isnan(g.defects[4])
+        out, defects, _ = reference_dyson(g0, kernels)
+        keep = np.arange(9) != 4
+        np.testing.assert_array_equal(g.matrices[keep], out[keep])
+        np.testing.assert_array_equal(g.defects[keep], defects[keep])
+
+    def test_peak_memory_within_one_propagator(self):
+        # temporaries stay block-sized: neither route holds a second propagator
+        dim, count = 20, 2000
+        propagator = count * dim * dim * 16
+        h = random_hermitian(dim, seed=20)
+        sigma = SelfEnergyModel.constant(random_hermitian(dim, seed=21, scale=0.1))
+        omegas = np.linspace(-3, 3, count)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            g0 = free_green(h, omegas, eta=1e-2)
+            free_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            dyson_solve(g0, sigma)
+            solve_peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert free_peak < propagator + 2**20
+        assert solve_peak < propagator + 2**20
+
+
+def test_pipeline_residual_matches_independent_recomputation(tmp_path, monkeypatch):
+    calls = []
+
+    def recording_solve(g0, sigma, *args, **kwargs):
+        dressed = dyson_solve(g0, sigma, *args, **kwargs)
+        calls.append((dressed, g0, sigma))
+        return dressed
+
+    monkeypatch.setattr(pipeline, "dyson_solve", recording_solve)
+    config = RunConfig.from_dict(
+        {
+            "system": {"points": 12, "spacing": 0.5, "electrons": 2},
+            "oracle": {"enabled": False},
+            "self_energy": {"kind": "constant", "scale": 1.5},
+            "dyson": {"count": 700},
+        }
+    )
+    pipeline.run_pipeline(config, tmp_path)
+    (dressed, g0, sigma), = calls
+    record = json.loads((tmp_path / "dyson.json").read_text())
+    recomputed = dyson_residual(dressed, g0, sigma)
+    assert 0.0 < recomputed <= 1e-10
+    assert record["dyson_residual"] == recomputed
