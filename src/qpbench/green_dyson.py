@@ -3,6 +3,9 @@
 The free propagator is built from a converged mean-field Hamiltonian as
 G0(w) = (w + i eta - H)^-1 on a broadened real-frequency grid; the dressed
 propagator solves G = G0 + G0 Sigma G under a model correlation self-energy.
+For a static Hermitian self-energy the pipeline takes the spectral function
+as a Lehmann sum over the levels of H + Sigma and checks the direct Dyson
+solve only on a pinned subsample of the grid.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ _HERMITICITY_TOL = 1e-12
 # complex elements per (frequency block, d, d) temporary: about 64 KB.  A block
 # holds _BLOCK_ELEMENTS // d**2 frequencies, and at least one.
 _BLOCK_ELEMENTS = 1 << 12
+# the pipeline's Dyson check visits every ceil(nw / _SUBSAMPLE_POINTS)-th frequency
+_SUBSAMPLE_POINTS = 64
 
 
 def _hermiticity_error(m: np.ndarray) -> float:
@@ -54,16 +59,6 @@ class SelfEnergyModel:
         if not err <= _HERMITICITY_TOL:  # NaN is rejected too
             raise ValueError(f"constant self-energy kernel not Hermitian (error {err:.2e})")
         return cls(kind=CONSTANT, dim=k.shape[0], kernel=k)
-
-    @classmethod
-    def scaled_identity(cls, coefficient: float, dim: int) -> "SelfEnergyModel":
-        return cls.constant(coefficient * np.eye(dim))
-
-    @classmethod
-    def separable(cls, coefficient: float, vector: np.ndarray) -> "SelfEnergyModel":
-        """Rank-1 kernel c |v><v| for a normalized vector."""
-        v = np.asarray(vector)
-        return cls.constant(coefficient * np.outer(v, v.conj()))
 
     @classmethod
     def tabulated_momentum(
@@ -284,16 +279,53 @@ def dressed_eigenproblem(
     return np.linalg.eigvalsh(h + s)
 
 
-def spectral_peaks(green: GreenFunction) -> np.ndarray:
-    """Frequencies of the local maxima of the spectral function."""
-    a = green.spectral_function()
+def lehmann_spectral_function(
+    levels: np.ndarray, omega_grid: np.ndarray, eta: float
+) -> np.ndarray:
+    """-Im Tr G / pi of G(w) = (w + i eta - H - Sigma)^-1 from the levels of H + Sigma.
+
+    Valid for a frequency-independent Hermitian Sigma, where
+    Tr G(w) = sum_n 1 / (w + i eta - lambda_n): a sum of Lorentzians in
+    O(nw d), with no propagator built.
+    """
+    detuning = np.asarray(omega_grid, dtype=float)[:, None] - np.asarray(levels, dtype=float)
+    return np.sum(eta / (detuning * detuning + eta * eta), axis=1) / np.pi
+
+
+def residual_subsample(omega_grid: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Ascending grid indices on which the pipeline checks the direct Dyson solve.
+
+    Every ceil(nw / 64)-th frequency from index 0, plus the grid point nearest
+    each level, where the propagator is largest.
+    """
+    omegas = np.asarray(omega_grid, dtype=float)
+    keep = np.zeros(omegas.size, dtype=bool)
+    keep[:: -(-omegas.size // _SUBSAMPLE_POINTS)] = True
+    keep[np.argmin(np.abs(omegas[:, None] - np.asarray(levels, dtype=float)), axis=0)] = True
+    return np.flatnonzero(keep)
+
+
+def _spectrum(spectrum) -> tuple[np.ndarray, np.ndarray]:
+    """(omegas, weights) of a ``GreenFunction`` or of an (omegas, weights) pair."""
+    if isinstance(spectrum, GreenFunction):
+        return spectrum.omegas, spectrum.spectral_function()
+    omegas, weights = spectrum
+    return np.asarray(omegas, dtype=float), np.asarray(weights, dtype=float)
+
+
+def spectral_peaks(spectrum) -> np.ndarray:
+    """Frequencies of the local maxima of a spectral function.
+
+    ``spectrum`` is a ``GreenFunction`` or an (omegas, weights) pair.
+    """
+    omegas, a = _spectrum(spectrum)
     inner = a[1:-1]
-    return green.omegas[1:-1][(inner > a[:-2]) & (inner >= a[2:])]
+    return omegas[1:-1][(inner > a[:-2]) & (inner >= a[2:])]
 
 
-def peak_alignment_error(green: GreenFunction, levels: np.ndarray) -> float:
+def peak_alignment_error(spectrum, levels: np.ndarray) -> float:
     """Largest distance from a level to its nearest spectral peak."""
-    peaks = spectral_peaks(green)
+    peaks = spectral_peaks(spectrum)
     if peaks.size == 0:
         return float("inf")
     distances = np.abs(peaks[None, :] - np.asarray(levels)[:, None])

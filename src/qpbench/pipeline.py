@@ -20,7 +20,9 @@ from .green_dyson import (
     dressed_eigenproblem,
     dyson_solve,
     free_green,
+    lehmann_spectral_function,
     peak_alignment_error,
+    residual_subsample,
 )
 from .hartree_fock import BandStructure, band_structure, scf_solve
 from .hydrogenic import BosonSpectrumParams, boson_energy, mass_operator_limit
@@ -51,13 +53,23 @@ def build_system(config: RunConfig) -> ModelSystem:
     )
 
 
-def _self_energy_model(config: RunConfig, dim: int, kgrid: np.ndarray) -> SelfEnergyModel:
+def _self_energy_kernel(config: RunConfig, dim: int, k: float) -> np.ndarray:
+    """The configured (dim, dim) self-energy kernel at momentum ``k``."""
     spec = config["self_energy"]
     if spec["kind"] == "zero":
-        return SelfEnergyModel.zero(dim)
+        return np.zeros((dim, dim))
     if spec["kind"] == "constant":
-        return SelfEnergyModel.scaled_identity(spec["scale"], dim)
-    kernels = np.array([spec["scale"] * np.cos(k) * np.eye(dim) for k in kgrid])
+        return spec["scale"] * np.eye(dim)
+    return spec["scale"] * np.cos(k) * np.eye(dim)
+
+
+def _self_energy_model(config: RunConfig, dim: int, kgrid: np.ndarray) -> SelfEnergyModel:
+    kind = config["self_energy"]["kind"]
+    if kind == "zero":
+        return SelfEnergyModel.zero(dim)
+    if kind == "constant":
+        return SelfEnergyModel.constant(_self_energy_kernel(config, dim, 0.0))
+    kernels = np.array([_self_energy_kernel(config, dim, k) for k in kgrid])
     return SelfEnergyModel.tabulated_momentum(kgrid, kernels)
 
 
@@ -232,36 +244,36 @@ def _stage_dyson(system, config, out_dir, chash, state):
     idx = int(np.argmin(np.abs(bands.kgrid)))
     res = bands.scf_results[idx]
     hamiltonian = res.fock.total
-    kernel = _self_energy_model(config, system.grid.npoints, bands.kgrid).at_momentum(
-        idx, float(bands.kgrid[idx])
-    )
+    kernel = _self_energy_kernel(config, system.grid.npoints, bands.kgrid[idx])
     levels = dressed_eigenproblem(hamiltonian, kernel)
     # frequency window spans both the bare and the dressed spectra
     omegas = default_frequency_grid(
         np.concatenate([res.eigenvalues, levels]), count=dy["count"], pad=dy["pad"]
     )
-    g0 = free_green(hamiltonian, omegas, eta=dy["eta"])
+    # the kernel is static and Hermitian: the spectrum is a sum over the levels
+    weights = lehmann_spectral_function(levels, omegas, dy["eta"])
+    alignment = peak_alignment_error((omegas, weights), levels)
+    # the direct solve runs on a pinned subsample only; its defects are the
+    # solver's own, and verification recomputes them through dyson_residual
+    sample = residual_subsample(omegas, levels)
+    g0 = free_green(hamiltonian, omegas[sample], eta=dy["eta"])
     sigma = SelfEnergyModel.zero(g0.dim) if not np.any(kernel) else SelfEnergyModel.constant(kernel)
     dressed = dyson_solve(g0, sigma)
-    # the solver's own per-frequency defects; verification recomputes them
-    # independently through dyson_residual
     residual = float(np.max(dressed.defects[dressed.retained()], initial=0.0))
-    alignment = peak_alignment_error(dressed, levels)
-    weights = dressed.spectral_function()
     csv_path = reports.write_csv(
         out_dir / "spectral.csv",
         ["omega", "spectral_weight"],
-        list(zip(dressed.omegas, weights)),
+        list(zip(omegas, weights)),
         chash,
     )
     svg_path = Path(out_dir / "spectral.svg")
-    svg_path.write_text(reports.spectral_plot_svg(dressed.omegas, weights, chash))
+    svg_path.write_text(reports.spectral_plot_svg(omegas, weights, chash))
     record = {
         "momentum": float(bands.kgrid[idx]),
         "eta": dy["eta"],
         "frequency_count": dy["count"],
         "dyson_residual": residual,
-        "flagged_frequencies": list(dressed.flagged),
+        "flagged_frequencies": sample[list(dressed.flagged)],
         "dressed_levels": levels,
         "peak_alignment_error": alignment,
         "grid_spacing": float(omegas[1] - omegas[0]),

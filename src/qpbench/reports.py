@@ -18,10 +18,11 @@ from . import __version__
 _SVG_W = 640
 _SVG_H = 420
 _MARGIN = 56
+_FLOAT_FORMAT = "%.17g"
 
 
 def format_float(x: float) -> str:
-    return format(float(x), ".17g")
+    return _FLOAT_FORMAT % float(x)
 
 
 def _jsonable(obj):
@@ -63,6 +64,13 @@ def density_matrix_record(dm, generating_system_hash: str) -> dict:
     }
 
 
+def _format_column(cells) -> list[str]:
+    """One CSV column: 17 significant digits when every cell is a float, else str."""
+    if all(isinstance(c, (float, np.floating)) for c in cells):
+        return [_FLOAT_FORMAT % c for c in np.asarray(cells, dtype=float).tolist()]
+    return [str(c) for c in cells]
+
+
 def write_csv(path, columns: list[str], rows, config_hash: str) -> Path:
     path = Path(path)
     lines = [
@@ -70,12 +78,8 @@ def write_csv(path, columns: list[str], rows, config_hash: str) -> Path:
         f"# config_hash={config_hash}",
         ",".join(columns),
     ]
-    for row in rows:
-        cells = [
-            format_float(c) if isinstance(c, (float, np.floating)) else str(c)
-            for c in row
-        ]
-        lines.append(",".join(cells))
+    cells = [_format_column(column) for column in zip(*rows)]
+    lines.extend(map(",".join, zip(*cells)))
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -88,11 +92,16 @@ def _fmt(x: float) -> str:
     return format(x, ".8g")
 
 
-def _scale(values, lo, hi, out_lo, out_hi):
+def _scale(values, lo, hi, out_lo, out_hi) -> np.ndarray:
     span = hi - lo
     if span == 0:
         span = 1.0
-    return [(out_lo + (v - lo) / span * (out_hi - out_lo)) for v in values]
+    return out_lo + (np.asarray(values, dtype=float) - lo) / span * (out_hi - out_lo)
+
+
+def _points(xs: np.ndarray, ys: np.ndarray) -> str:
+    """SVG polyline points, 8 significant digits each."""
+    return " ".join(map("%.8g,%.8g".__mod__, zip(xs.tolist(), ys.tolist())))
 
 
 def _svg_header(title: str, config_hash: str) -> list[str]:
@@ -158,13 +167,13 @@ def band_plot_svg(kgrid, bands, reference_levels, config_hash: str) -> str:
     xs = _scale(kgrid, xlo, xhi, _MARGIN, _SVG_W - _MARGIN)
     for n in range(bands.shape[0]):
         ys = _scale(bands[n], ylo, yhi, _SVG_H - _MARGIN, _MARGIN)
-        pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys))
+        pts = _points(xs, ys)
         color = _BAND_COLORS[n % len(_BAND_COLORS)]
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>'
         )
     for value in marks:
-        y = _scale([value], ylo, yhi, _SVG_H - _MARGIN, _MARGIN)[0]
+        y = float(_scale(value, ylo, yhi, _SVG_H - _MARGIN, _MARGIN))
         parts.append(
             f'<line x1="{_MARGIN}" y1="{_fmt(y)}" x2="{_SVG_W - _MARGIN}" '
             f'y2="{_fmt(y)}" stroke="#555555" stroke-dasharray="6,4"/>'
@@ -184,7 +193,7 @@ def spectral_plot_svg(omegas, weights, config_hash: str) -> str:
     parts += _svg_axes("omega (hartree)", "-Im Tr G / pi", xlo, xhi, ylo, yhi)
     xs = _scale(omegas, xlo, xhi, _MARGIN, _SVG_W - _MARGIN)
     ys = _scale(weights, ylo, yhi, _SVG_H - _MARGIN, _MARGIN)
-    pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys))
+    pts = _points(xs, ys)
     parts.append(
         f'<polyline fill="none" stroke="#1f77b4" stroke-width="1.2" points="{pts}"/>'
     )

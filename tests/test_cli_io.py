@@ -12,7 +12,7 @@ from qpbench.hartree_fock import band_structure
 from qpbench.model_system import build_soft_coulomb_system
 from qpbench.pipeline import STAGES, build_system, run_pipeline
 from qpbench.quasiparticle import QuasiparticleLevel
-from qpbench.reports import band_plot_svg, format_float, write_csv
+from qpbench.reports import band_plot_svg, format_float, spectral_plot_svg, write_csv
 
 
 CRYSTAL_CONFIG = {
@@ -135,6 +135,39 @@ class TestReports:
     def test_empty_band_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             band_plot_svg(np.zeros(0), np.zeros((0, 0)), [], "h")
+
+    def test_csv_columns_match_per_cell_formatting(self, tmp_path):
+        floats = [0.1, -0.0, np.float64(1 / 3), np.float32(0.1), np.nan, -np.inf, 1e300]
+        ints = [0, -3, 10**17, np.int64(7), True, 2, 5]
+        rows = list(zip(floats, ints, ["a", "b", "c", "d", "e", "f", "g"]))
+        text = write_csv(tmp_path / "t.csv", ["x", "n", "s"], rows, "h").read_text()
+        # the per-cell rule the batched columns replace
+        expect = [
+            ",".join(
+                format_float(c) if isinstance(c, (float, np.floating)) else str(c)
+                for c in row
+            )
+            for row in rows
+        ]
+        assert text.splitlines()[3:] == expect
+
+    def test_csv_without_rows_has_only_the_header(self, tmp_path):
+        text = write_csv(tmp_path / "t.csv", ["a", "b"], [], "h").read_text()
+        assert text.splitlines()[2:] == ["a,b"]
+
+    def test_polyline_points_match_per_point_formatting(self):
+        rng = np.random.default_rng(3)
+        omegas = np.sort(rng.normal(size=300))
+        weights = rng.exponential(size=300)
+        svg = spectral_plot_svg(omegas, weights, "h")
+        points = svg.split('points="')[1].split('"')[0]
+        xlo, xhi, yhi = float(omegas.min()), float(omegas.max()), float(weights.max()) * 1.05
+        expect = " ".join(
+            f"{format(56 + (x - xlo) / (xhi - xlo) * 528, '.8g')},"
+            f"{format(364 + (y - 0.0) / yhi * -308, '.8g')}"
+            for x, y in zip(omegas, weights)
+        )
+        assert points == expect
 
 
 class TestPipeline:

@@ -14,7 +14,9 @@ from qpbench.green_dyson import (
     dyson_residual,
     dyson_solve,
     free_green,
+    lehmann_spectral_function,
     peak_alignment_error,
+    residual_subsample,
     spectral_peaks,
 )
 
@@ -244,12 +246,6 @@ class TestSelfEnergyModel:
         with pytest.raises(ValueError, match="Hermitian"):
             SelfEnergyModel.constant(np.array([[0.1, np.nan], [np.nan, 0.1]]))
 
-    def test_separable_builds_rank_one(self):
-        v = np.array([1.0, 0.0])
-        sigma = SelfEnergyModel.separable(0.5, v)
-        assert sigma.kernel[0, 0] == 0.5
-        assert np.count_nonzero(sigma.kernel) == 1
-
     def test_momentum_table_mismatch_detected(self):
         sigma = SelfEnergyModel.tabulated_momentum(
             np.array([-0.1, 0.1]), np.zeros((2, 3, 3))
@@ -389,3 +385,147 @@ def test_pipeline_residual_matches_independent_recomputation(tmp_path, monkeypat
     recomputed = dyson_residual(dressed, g0, sigma)
     assert 0.0 < recomputed <= 1e-10
     assert record["dyson_residual"] == recomputed
+
+
+class TestLehmannSpectralFunction:
+    def test_matches_dressed_propagator(self):
+        h = random_hermitian(6, seed=22)
+        kernel = random_hermitian(6, seed=23, scale=0.1)
+        omegas = np.linspace(-4, 4, 301)
+        dressed = dyson_solve(free_green(h, omegas, eta=1e-2), SelfEnergyModel.constant(kernel))
+        weights = lehmann_spectral_function(np.linalg.eigvalsh(h + kernel), omegas, 1e-2)
+        np.testing.assert_allclose(weights, dressed.spectral_function(), rtol=1e-10, atol=0)
+
+    def test_single_level_is_a_lorentzian(self):
+        omegas = np.array([-1.0, 0.25, 2.0])
+        weights = lehmann_spectral_function(np.array([0.25]), omegas, 0.5)
+        expect = 0.5 / ((omegas - 0.25) ** 2 + 0.25) / np.pi
+        np.testing.assert_allclose(weights, expect, rtol=1e-15)
+
+    def test_pair_and_propagator_give_the_same_peaks(self):
+        h = random_hermitian(5, seed=24)
+        g = free_green(h, np.linspace(-4, 4, 555), eta=5e-2)
+        pair = (g.omegas, g.spectral_function())
+        np.testing.assert_array_equal(spectral_peaks(pair), spectral_peaks(g))
+        levels = np.linalg.eigvalsh(h)
+        assert peak_alignment_error(pair, levels) == peak_alignment_error(g, levels)
+
+
+class TestResidualSubsample:
+    # stride ceil(count / 64): 1000 is not a multiple of 64, 640 is
+    @pytest.mark.parametrize("count,stride", [(1000, 16), (640, 10)])
+    def test_holds_stride_points_and_nearest_levels(self, count, stride):
+        omegas = np.linspace(-3, 3, count)
+        levels = np.array([-2.9, -0.1234, 0.0, 1.5, 2.999])
+        sample = residual_subsample(omegas, levels)
+        assert sample[0] == 0
+        assert set(range(0, count, stride)) <= set(sample.tolist())
+        nearest = [int(np.argmin(np.abs(omegas - e))) for e in levels]
+        assert set(nearest) <= set(sample.tolist())
+        assert set(sample.tolist()) == set(range(0, count, stride)) | set(nearest)
+        assert np.all(np.diff(sample) > 0)  # ascending, no duplicates
+
+    def test_short_grid_keeps_every_frequency(self):
+        omegas = np.linspace(-1, 1, 16)
+        np.testing.assert_array_equal(residual_subsample(omegas, np.array([0.0])), np.arange(16))
+
+
+def _stage_config(boundary, kind, count=600):
+    system = {"points": 12, "spacing": 0.5, "electrons": 2, "boundary": boundary}
+    if boundary == "periodic":
+        system["kpoints"] = 4
+    return RunConfig.from_dict(
+        {
+            "system": system,
+            "oracle": {"enabled": False},
+            "quasiparticle": {"enabled": False},
+            "spectrum": {"enabled": False},
+            "self_energy": {"kind": kind, "scale": 0.3},
+            "dyson": {"count": count},
+        }
+    )
+
+
+def _full_grid_route(config):
+    """The dressed propagator on the whole grid, rebuilt outside the stage."""
+    system = pipeline.build_system(config)
+    bands = pipeline._bands_for(system, config)
+    idx = int(np.argmin(np.abs(bands.kgrid)))
+    h = bands.scf_results[idx].fock.total
+    scale = config["self_energy"]["scale"]
+    kernel = {
+        "zero": 0.0,
+        "constant": scale,
+        "cosine": scale * np.cos(bands.kgrid[idx]),
+    }[config["self_energy"]["kind"]] * np.eye(h.shape[0])
+    return h, kernel
+
+
+@pytest.mark.parametrize("boundary", ["box", "periodic"])
+@pytest.mark.parametrize("kind", ["zero", "constant", "cosine"])
+def test_stage_spectrum_matches_full_grid_dyson_solve(tmp_path, boundary, kind):
+    config = _stage_config(boundary, kind)
+    pipeline.run_pipeline(config, tmp_path)
+    table = np.loadtxt(tmp_path / "spectral.csv", delimiter=",", skiprows=3)
+    record = json.loads((tmp_path / "dyson.json").read_text())
+    omegas, weights = table[:, 0], table[:, 1]
+    h, kernel = _full_grid_route(config)
+    levels = np.asarray(record["dressed_levels"])
+    np.testing.assert_array_equal(levels, dressed_eigenproblem(h, kernel))
+    full = dyson_solve(free_green(h, omegas, eta=record["eta"]), SelfEnergyModel.constant(kernel))
+    assert full.flagged == ()
+    np.testing.assert_allclose(weights, full.spectral_function(), rtol=1e-10, atol=0)
+    assert record["peak_alignment_error"] == peak_alignment_error(full, levels)
+
+
+def test_stage_solves_on_the_subsample_and_flags_in_grid_indices(tmp_path, monkeypatch):
+    calls = []
+
+    def one_flagged_solve(g0, sigma, *args, **kwargs):
+        calls.append(g0)
+        dressed = dyson_solve(g0, sigma, *args, **kwargs)
+        return dataclasses.replace(dressed, flagged=(3,))
+
+    monkeypatch.setattr(pipeline, "dyson_solve", one_flagged_solve)
+    config = _stage_config("box", "constant", count=1000)
+    pipeline.run_pipeline(config, tmp_path)
+    record = json.loads((tmp_path / "dyson.json").read_text())
+    omegas = np.loadtxt(tmp_path / "spectral.csv", delimiter=",", skiprows=3)[:, 0]
+    sample = residual_subsample(omegas, np.asarray(record["dressed_levels"]))
+    (g0,) = calls
+    np.testing.assert_array_equal(g0.omegas, omegas[sample])
+    assert sample.size < omegas.size
+    assert record["flagged_frequencies"] == [int(sample[3])]
+
+
+@pytest.mark.parametrize("kind", ["zero", "constant", "cosine"])
+def test_model_table_is_built_from_the_stage_kernel(kind):
+    config = _stage_config("periodic", kind)
+    kgrid = np.linspace(-1.2, 1.2, 5)
+    model = pipeline._self_energy_model(config, 4, kgrid)
+    for i, k in enumerate(kgrid):
+        np.testing.assert_array_equal(
+            model.at_momentum(i, float(k)), pipeline._self_energy_kernel(config, 4, k)
+        )
+
+
+def test_stage_never_holds_a_propagator(tmp_path):
+    dim, count = 20, 2000
+    config = RunConfig.from_dict(
+        {
+            "system": {"points": dim, "spacing": 0.5, "electrons": 2},
+            "self_energy": {"kind": "constant", "scale": 0.3},
+            "dyson": {"count": count},
+        }
+    )
+    system = pipeline.build_system(config)
+    state = {"bands": pipeline._bands_for(system, config)}
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        pipeline._stage_dyson(system, config, tmp_path, config.hash(), state)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < count * dim * dim * 16

@@ -66,7 +66,7 @@ class TestMassShift:
 
     def test_constant_kernel_shifts_zone_center_only(self, crystal_bands):
         system, bands = crystal_bands
-        sigma = SelfEnergyModel.scaled_identity(0.7, system.grid.npoints)
+        sigma = SelfEnergyModel.constant(0.7 * np.eye(system.grid.npoints))
         shift = mass_shift(0, sigma, list(bands.scf_results), bands.kgrid)
         assert shift.delta_m0 == pytest.approx(0.7, abs=1e-12)
         assert np.max(np.abs(shift.delta_mk)) < 1e-12
@@ -156,7 +156,7 @@ class TestStrictReference:
         results = list(bands.scf_results)
         shift0 = mass_shift(0, SelfEnergyModel.zero(dim), results, bands.kgrid)
         shiftc = mass_shift(
-            0, SelfEnergyModel.scaled_identity(0.3, dim), results, bands.kgrid
+            0, SelfEnergyModel.constant(0.3 * np.eye(dim)), results, bands.kgrid
         )
         extr = reference_point(bands.bands[0], 2, "min")
         ref0 = strict_reference(extr, shift0.delta_m0)
@@ -185,7 +185,7 @@ class TestAssembledLevel:
         dim = system.grid.npoints
         shift = mass_shift(
             0,
-            SelfEnergyModel.scaled_identity(1.5, dim),
+            SelfEnergyModel.constant(1.5 * np.eye(dim)),
             list(bands.scf_results),
             bands.kgrid,
         )
@@ -214,7 +214,7 @@ class TestAssembledLevel:
         dim = system.grid.npoints
         shift = mass_shift(
             0,
-            SelfEnergyModel.scaled_identity(1.2, dim),
+            SelfEnergyModel.constant(1.2 * np.eye(dim)),
             list(bands.scf_results),
             bands.kgrid,
         )
