@@ -1,14 +1,15 @@
 """Run configuration: strict JSON schema, defaults and content hashing.
 
 Configs are single JSON documents.  Parsing is strict: unknown keys are
-rejected with their full field path, and every numeric field is range-checked
-before any computation starts.
+rejected with their full field path, and every numeric field is checked to be
+finite and in range before any computation starts.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,6 +22,8 @@ def _number(lo=None, hi=None, lo_open=False, integer=False):
     def check(value, path):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):  # json reads NaN, Infinity
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
         if integer and not isinstance(value, int):
             raise ConfigError(f"{path}: expected an integer, got {value!r}")
         if lo is not None and (value <= lo if lo_open else value < lo):

@@ -3,9 +3,12 @@
 The free propagator is built from a converged mean-field Hamiltonian as
 G0(w) = (w + i eta - H)^-1 on a broadened real-frequency grid; the dressed
 propagator solves G = G0 + G0 Sigma G under a model correlation self-energy.
-For a static Hermitian self-energy the pipeline takes the spectral function
-as a Lehmann sum over the levels of H + Sigma and checks the direct Dyson
-solve only on a pinned subsample of the grid.
+A self-energy is a plain array: a static Hermitian (d, d) kernel, or an
+(n, d, d) table aligned with the grid it is sampled on (frequencies here,
+momenta in ``quasiparticle.mass_shift``).  For a static Hermitian
+self-energy the pipeline takes the spectral function as a Lehmann sum over
+the levels of H + Sigma and checks the direct Dyson solve only on a pinned
+subsample of the grid.
 """
 
 from __future__ import annotations
@@ -13,10 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-ZERO = "zero"
-CONSTANT = "constant"
-TABULATED = "tabulated"
 
 _HERMITICITY_TOL = 1e-12
 # complex elements per (frequency block, d, d) temporary: about 64 KB.  A block
@@ -26,87 +25,26 @@ _BLOCK_ELEMENTS = 1 << 12
 _SUBSAMPLE_POINTS = 64
 
 
-def _hermiticity_error(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m - m.conj().T)))
+def check_hermitian(m: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` unless ``m`` is Hermitian to 1e-12; NaN is rejected too."""
+    m = np.asarray(m)
+    err = float(np.max(np.abs(m - m.conj().T)))
+    if not err <= _HERMITICITY_TOL:
+        raise ValueError(f"{what} not Hermitian (error {err:.2e})")
 
 
-@dataclass(frozen=True)
-class SelfEnergyModel:
-    """Model correlation self-energy, evaluable per momentum or per frequency.
+def kernel_stack(sigma: np.ndarray, n: int, d: int) -> np.ndarray:
+    """A self-energy as n (d, d) kernels, one per point of the grid it is sampled on.
 
-    ``zero`` and ``constant`` kinds work on either axis; tabulated models
-    carry explicit kernels aligned with a momentum grid and/or a frequency
-    grid.  Frequency-independent kernels must be Hermitian.
+    ``sigma`` is a static (d, d) kernel, returned as a read-only view rather
+    than n copies, or an (n, d, d) table aligned with the grid.
     """
-
-    kind: str
-    dim: int
-    kernel: np.ndarray | None = None
-    momentum_grid: np.ndarray | None = None
-    momentum_kernels: np.ndarray | None = None
-    frequency_kernels: np.ndarray | None = None
-
-    @classmethod
-    def zero(cls, dim: int) -> "SelfEnergyModel":
-        return cls(kind=ZERO, dim=dim)
-
-    @classmethod
-    def constant(cls, kernel: np.ndarray) -> "SelfEnergyModel":
-        k = np.asarray(kernel)
-        if k.ndim != 2 or k.shape[0] != k.shape[1]:
-            raise ValueError("constant kernel must be a square matrix")
-        err = _hermiticity_error(k)
-        if not err <= _HERMITICITY_TOL:  # NaN is rejected too
-            raise ValueError(f"constant self-energy kernel not Hermitian (error {err:.2e})")
-        return cls(kind=CONSTANT, dim=k.shape[0], kernel=k)
-
-    @classmethod
-    def tabulated_momentum(
-        cls, kgrid: np.ndarray, kernels: np.ndarray
-    ) -> "SelfEnergyModel":
-        kg = np.asarray(kgrid, dtype=float)
-        ks = np.asarray(kernels)
-        if ks.ndim != 3 or ks.shape[0] != kg.size or ks.shape[1] != ks.shape[2]:
-            raise ValueError("momentum kernels must be (nk, d, d) aligned with kgrid")
-        return cls(
-            kind=TABULATED, dim=ks.shape[1], momentum_grid=kg, momentum_kernels=ks
+    s = np.asarray(sigma)
+    if s.shape not in ((d, d), (n, d, d)):
+        raise ValueError(
+            f"self-energy of shape {s.shape} does not match dimension {d} on {n} grid points"
         )
-
-    @classmethod
-    def tabulated_frequency(cls, kernels: np.ndarray) -> "SelfEnergyModel":
-        ks = np.asarray(kernels)
-        if ks.ndim != 3 or ks.shape[1] != ks.shape[2]:
-            raise ValueError("frequency kernels must be (nw, d, d)")
-        return cls(kind=TABULATED, dim=ks.shape[1], frequency_kernels=ks)
-
-    def at_momentum(self, index: int, k: float) -> np.ndarray:
-        if self.kind == ZERO:
-            return np.zeros((self.dim, self.dim))
-        if self.kind == CONSTANT:
-            return self.kernel
-        if self.momentum_kernels is None:
-            raise ValueError("tabulated model carries no momentum kernels")
-        if abs(self.momentum_grid[index] - k) > 1e-12:
-            raise ValueError(
-                f"momentum mismatch at index {index}: "
-                f"table holds k={self.momentum_grid[index]!r}, requested {k!r}"
-            )
-        return self.momentum_kernels[index]
-
-    def at_frequency(self, index: int, n_frequencies: int) -> np.ndarray:
-        if self.kind == ZERO:
-            return np.zeros((self.dim, self.dim))
-        if self.kind == CONSTANT:
-            return self.kernel
-        return self.frequency_table(n_frequencies)[index]
-
-    def frequency_table(self, n_frequencies: int) -> np.ndarray:
-        """The (n_frequencies, d, d) kernels of a tabulated model."""
-        if self.frequency_kernels is None:
-            raise ValueError("tabulated model carries no frequency kernels")
-        if self.frequency_kernels.shape[0] != n_frequencies:
-            raise ValueError("frequency table does not match the propagator grid")
-        return self.frequency_kernels
+    return np.broadcast_to(s, (n, d, d))
 
 
 @dataclass(frozen=True)
@@ -169,9 +107,7 @@ def free_green(
     h = np.asarray(hf_hamiltonian)
     if eta <= 0:
         raise ValueError("broadening eta must be positive")
-    err = _hermiticity_error(h)
-    if not err <= _HERMITICITY_TOL:  # NaN is rejected too
-        raise ValueError(f"mean-field Hamiltonian not Hermitian (error {err:.2e})")
+    check_hermitian(h, "mean-field Hamiltonian")
     omegas = np.asarray(omega_grid, dtype=float)
     d = h.shape[0]
     eye = np.eye(d)
@@ -199,19 +135,22 @@ def _solve_block(g0: np.ndarray, sig: np.ndarray, out: np.ndarray, defects: np.n
 
 def dyson_solve(
     g0: GreenFunction,
-    sigma: SelfEnergyModel,
+    sigma: np.ndarray,
     residual_tol: float = 1e-10,
 ) -> GreenFunction:
     """Dressed propagator satisfying G = G0 + G0 Sigma G at every frequency.
 
-    Solves (I - G0 Sigma) G = G0 in blocks of frequencies.  Frequencies where
-    the solve is singular, or whose defect is not within ``residual_tol``
-    (NaN included), are flagged rather than silently dropped.
+    ``sigma`` is a static Hermitian (d, d) kernel or an (nw, d, d) table
+    aligned with the frequencies of ``g0``.  Solves (I - G0 Sigma) G = G0 in
+    blocks of frequencies.  Frequencies where the solve is singular, or whose
+    defect is not within ``residual_tol`` (NaN included), are flagged rather
+    than silently dropped.
     """
-    if sigma.dim != g0.dim:
-        raise ValueError("self-energy dimension does not match the propagator")
     nw = g0.omegas.size
-    if sigma.kind == ZERO:
+    kernels = kernel_stack(sigma, nw, g0.dim)
+    if np.ndim(sigma) == 2:
+        check_hermitian(sigma, "self-energy kernel")
+    if not np.any(sigma):
         # identical assembly: the dressed propagator is the free one
         return GreenFunction(
             omegas=g0.omegas,
@@ -220,10 +159,6 @@ def dyson_solve(
             kind="dressed",
             defects=np.zeros(nw),
         )
-    if sigma.kind == CONSTANT:  # a read-only view, not nw copies
-        kernels = np.broadcast_to(sigma.kernel, (nw,) + sigma.kernel.shape)
-    else:
-        kernels = sigma.frequency_table(nw)
     out = np.empty_like(g0.matrices)
     defects = np.empty(nw)
     for b in _blocks(nw, g0.dim):
@@ -249,18 +184,17 @@ def dyson_solve(
     )
 
 
-def dyson_residual(g: GreenFunction, g0: GreenFunction, sigma: SelfEnergyModel) -> float:
+def dyson_residual(g: GreenFunction, g0: GreenFunction, sigma: np.ndarray) -> float:
     """Max-norm defect of G - G0 - G0 Sigma G over all retained frequencies.
 
-    Recomputes each defect frequency by frequency, independently of the
-    solver's own; a non-finite defect makes the result NaN.
+    ``sigma`` is as for ``dyson_solve``.  Recomputes each defect frequency by
+    frequency, independently of the solver's own; a non-finite defect makes
+    the result NaN.
     """
-    nw = g0.omegas.size
-    retained = g.retained()
+    kernels = kernel_stack(sigma, g0.omegas.size, g0.dim)
     defects = [
-        _defect(g.matrices[i], g0.matrices[i], sigma.at_frequency(i, nw))
-        for i in range(nw)
-        if retained[i]
+        _defect(g.matrices[i], g0.matrices[i], kernels[i])
+        for i in np.flatnonzero(g.retained())
     ]
     return float(np.max(defects, initial=0.0))
 
@@ -273,9 +207,7 @@ def dressed_eigenproblem(
     s = np.asarray(sigma_kernel)
     if s.shape != h.shape:
         raise ValueError("kernel dimension does not match the Hamiltonian")
-    err = _hermiticity_error(s)
-    if not err <= _HERMITICITY_TOL:  # NaN is rejected too
-        raise ValueError(f"self-energy kernel not Hermitian (error {err:.2e})")
+    check_hermitian(s, "self-energy kernel")
     return np.linalg.eigvalsh(h + s)
 
 
@@ -305,27 +237,17 @@ def residual_subsample(omega_grid: np.ndarray, levels: np.ndarray) -> np.ndarray
     return np.flatnonzero(keep)
 
 
-def _spectrum(spectrum) -> tuple[np.ndarray, np.ndarray]:
-    """(omegas, weights) of a ``GreenFunction`` or of an (omegas, weights) pair."""
-    if isinstance(spectrum, GreenFunction):
-        return spectrum.omegas, spectrum.spectral_function()
-    omegas, weights = spectrum
-    return np.asarray(omegas, dtype=float), np.asarray(weights, dtype=float)
-
-
-def spectral_peaks(spectrum) -> np.ndarray:
-    """Frequencies of the local maxima of a spectral function.
-
-    ``spectrum`` is a ``GreenFunction`` or an (omegas, weights) pair.
-    """
-    omegas, a = _spectrum(spectrum)
+def spectral_peaks(omegas: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Frequencies of the local maxima of a spectral function sampled at ``omegas``."""
+    omegas = np.asarray(omegas, dtype=float)
+    a = np.asarray(weights, dtype=float)
     inner = a[1:-1]
     return omegas[1:-1][(inner > a[:-2]) & (inner >= a[2:])]
 
 
-def peak_alignment_error(spectrum, levels: np.ndarray) -> float:
+def peak_alignment_error(omegas: np.ndarray, weights: np.ndarray, levels: np.ndarray) -> float:
     """Largest distance from a level to its nearest spectral peak."""
-    peaks = spectral_peaks(spectrum)
+    peaks = spectral_peaks(omegas, weights)
     if peaks.size == 0:
         return float("inf")
     distances = np.abs(peaks[None, :] - np.asarray(levels)[:, None])

@@ -15,7 +15,6 @@ from . import reports
 from .config import RunConfig, system_hash
 from .density_matrix import band_projector, trace_energy_identity
 from .green_dyson import (
-    SelfEnergyModel,
     default_frequency_grid,
     dressed_eigenproblem,
     dyson_solve,
@@ -61,16 +60,6 @@ def _self_energy_kernel(config: RunConfig, dim: int, k: float) -> np.ndarray:
     if spec["kind"] == "constant":
         return spec["scale"] * np.eye(dim)
     return spec["scale"] * np.cos(k) * np.eye(dim)
-
-
-def _self_energy_model(config: RunConfig, dim: int, kgrid: np.ndarray) -> SelfEnergyModel:
-    kind = config["self_energy"]["kind"]
-    if kind == "zero":
-        return SelfEnergyModel.zero(dim)
-    if kind == "constant":
-        return SelfEnergyModel.constant(_self_energy_kernel(config, dim, 0.0))
-    kernels = np.array([_self_energy_kernel(config, dim, k) for k in kgrid])
-    return SelfEnergyModel.tabulated_momentum(kgrid, kernels)
 
 
 def _bands_for(system: ModelSystem, config: RunConfig) -> BandStructure:
@@ -137,13 +126,14 @@ def _stage_oracle(system, config, out_dir, chash, state):
 def _stage_bands(system, config, out_dir, chash, state):
     bands = _bands_for(system, config)
     state["bands"] = bands
-    rows = []
-    for n in range(bands.n_bands):
-        for i, k in enumerate(bands.kgrid):
-            rows.append((float(k), n, float(bands.bands[n, i]), int(bands.occupations[n])))
-    csv_path = reports.write_csv(
-        out_dir / "bands.csv", ["k", "band", "energy", "occupation"], rows, chash
-    )
+    nk = bands.kgrid.size
+    columns = {
+        "k": np.tile(bands.kgrid, bands.n_bands),
+        "band": np.repeat(np.arange(bands.n_bands), nk),
+        "energy": bands.bands.ravel(),
+        "occupation": np.repeat(bands.occupations, nk),
+    }
+    csv_path = reports.write_csv(out_dir / "bands.csv", columns, chash)
     svg_path = Path(out_dir / "bands.svg")
     svg_path.write_text(
         reports.band_plot_svg(bands.kgrid, bands.bands, [], chash)
@@ -190,7 +180,8 @@ def _stage_quasiparticle(system, config, out_dir, chash, state):
     if band >= bands.n_bands:
         raise ValueError(f"quasiparticle band {band} out of range")
     converged = bands.band_converged(band)
-    sigma = _self_energy_model(config, system.grid.npoints, bands.kgrid)
+    dim = system.grid.npoints
+    sigma = np.array([_self_energy_kernel(config, dim, k) for k in bands.kgrid])
     shift = mass_shift(band, sigma, list(bands.scf_results), bands.kgrid)
     level = assemble_level(
         band,
@@ -252,19 +243,15 @@ def _stage_dyson(system, config, out_dir, chash, state):
     )
     # the kernel is static and Hermitian: the spectrum is a sum over the levels
     weights = lehmann_spectral_function(levels, omegas, dy["eta"])
-    alignment = peak_alignment_error((omegas, weights), levels)
+    alignment = peak_alignment_error(omegas, weights, levels)
     # the direct solve runs on a pinned subsample only; its defects are the
     # solver's own, and verification recomputes them through dyson_residual
     sample = residual_subsample(omegas, levels)
     g0 = free_green(hamiltonian, omegas[sample], eta=dy["eta"])
-    sigma = SelfEnergyModel.zero(g0.dim) if not np.any(kernel) else SelfEnergyModel.constant(kernel)
-    dressed = dyson_solve(g0, sigma)
+    dressed = dyson_solve(g0, kernel)
     residual = float(np.max(dressed.defects[dressed.retained()], initial=0.0))
     csv_path = reports.write_csv(
-        out_dir / "spectral.csv",
-        ["omega", "spectral_weight"],
-        list(zip(omegas, weights)),
-        chash,
+        out_dir / "spectral.csv", {"omega": omegas, "spectral_weight": weights}, chash
     )
     svg_path = Path(out_dir / "spectral.svg")
     svg_path.write_text(reports.spectral_plot_svg(omegas, weights, chash))
@@ -285,18 +272,23 @@ def _stage_dyson(system, config, out_dir, chash, state):
 
 def _stage_spectrum(system, config, out_dir, chash, state):
     sp = config["spectrum"]
-    rows = []
-    for n in sp["n_values"]:
-        for k in sp["k_values"]:
-            params = BosonSpectrumParams(mass=sp["mass"], gamma=sp["gamma"], n=n, k=k)
-            e1 = boson_energy(params)
-            rows.append((n, k, sp["gamma"], sp["mass"], e1, 2.0 * e1))
-    csv_path = reports.write_csv(
-        out_dir / "spectrum.csv",
-        ["n", "k", "gamma", "mass", "energy", "twice_energy"],
-        rows,
-        chash,
+    ns = np.repeat(sp["n_values"], len(sp["k_values"]))
+    ks = np.tile(sp["k_values"], len(sp["n_values"]))
+    energy = np.array(
+        [
+            boson_energy(BosonSpectrumParams(mass=sp["mass"], gamma=sp["gamma"], n=n, k=k))
+            for n, k in zip(ns.tolist(), ks.tolist())
+        ]
     )
+    columns = {
+        "n": ns,
+        "k": ks,
+        "gamma": np.full(ns.size, sp["gamma"]),
+        "mass": np.full(ns.size, sp["mass"]),
+        "energy": energy,
+        "twice_energy": 2.0 * energy,
+    }
+    csv_path = reports.write_csv(out_dir / "spectrum.csv", columns, chash)
     metrics = {}
     if len(sp["n_values"]) >= 3:
         metrics["mass_limit"] = mass_operator_limit(

@@ -13,14 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .green_dyson import SelfEnergyModel
+from .green_dyson import check_hermitian, kernel_stack
 from .hartree_fock import SCFResult
 
 LIGHT = "light"
 HEAVY = "heavy"
 
 _LIGHT_TOL = 1e-6
-_HERMITICITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -77,31 +76,27 @@ def band_midpoint(band_energies: np.ndarray) -> float:
 
 def mass_shift(
     band: int,
-    sigma_c: SelfEnergyModel,
+    sigma_c: np.ndarray,
     scf_results: list[SCFResult],
     kgrid: np.ndarray,
 ) -> MassShift:
     """Per-momentum self-energy expectation split into zone-center and remainder.
 
-    The zone-center value is a quadratic extrapolation through the three
-    sampled momenta nearest k = 0 (exact when the zone center is sampled);
-    the remainder is the per-momentum value minus that limit.
+    ``sigma_c`` is a static Hermitian (d, d) kernel or an (nk, d, d) table
+    aligned with ``kgrid``.  The zone-center value is a quadratic
+    extrapolation through the three sampled momenta nearest k = 0 (exact when
+    the zone center is sampled); the remainder is the per-momentum value minus
+    that limit.
     """
     kgrid = np.asarray(kgrid, dtype=float)
     if len(scf_results) != kgrid.size:
         raise ValueError("one SCF result per momentum required")
+    kernels = kernel_stack(sigma_c, kgrid.size, scf_results[0].orbitals.shape[0])
     w = None
     raw = np.empty(kgrid.size)
-    for i, (k, res) in enumerate(zip(kgrid, scf_results)):
-        kernel = sigma_c.at_momentum(i, float(k))
-        herm = float(np.max(np.abs(kernel - kernel.conj().T)))
-        if herm > _HERMITICITY_TOL:
-            raise ValueError(
-                f"self-energy kernel at k={k!r} not Hermitian (error {herm:.2e})"
-            )
+    for i, (k, res, kernel) in enumerate(zip(kgrid, scf_results, kernels)):
+        check_hermitian(kernel, f"self-energy kernel at k={float(k)!r}")
         vec = res.orbitals[:, band]
-        if kernel.shape != (vec.size, vec.size):
-            raise ValueError("kernel dimension does not match the orbitals")
         if w is None:
             w = 1.0 / float(np.real(vec.conj() @ vec))  # quadrature weight
         raw[i] = float(np.real(vec.conj() @ kernel @ vec) * w)

@@ -71,14 +71,15 @@ def _format_column(cells) -> list[str]:
     return [str(c) for c in cells]
 
 
-def write_csv(path, columns: list[str], rows, config_hash: str) -> Path:
+def write_csv(path, columns: dict, config_hash: str) -> Path:
+    """Write ``{name: column, ...}`` as a CSV table, one row per index of the columns."""
     path = Path(path)
     lines = [
         f"# version={__version__}",
         f"# config_hash={config_hash}",
         ",".join(columns),
     ]
-    cells = [_format_column(column) for column in zip(*rows)]
+    cells = [_format_column(column) for column in columns.values()]
     lines.extend(map(",".join, zip(*cells)))
     path.write_text("\n".join(lines) + "\n")
     return path

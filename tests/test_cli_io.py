@@ -9,6 +9,7 @@ from qpbench import verification
 from qpbench.cli import main
 from qpbench.config import ConfigError, RunConfig, system_hash
 from qpbench.hartree_fock import band_structure
+from qpbench.hydrogenic import BosonSpectrumParams, boson_energy
 from qpbench.model_system import build_soft_coulomb_system
 from qpbench.pipeline import STAGES, build_system, run_pipeline
 from qpbench.quasiparticle import QuasiparticleLevel
@@ -96,7 +97,7 @@ class TestReports:
         assert float(format_float(x)) == x
 
     def test_csv_embeds_hash_and_version(self, tmp_path):
-        path = write_csv(tmp_path / "t.csv", ["a"], [(1.0,)], "deadbeef")
+        path = write_csv(tmp_path / "t.csv", {"a": [1.0]}, "deadbeef")
         text = path.read_text()
         assert "# config_hash=deadbeef" in text
         assert "# version=" in text
@@ -139,8 +140,10 @@ class TestReports:
     def test_csv_columns_match_per_cell_formatting(self, tmp_path):
         floats = [0.1, -0.0, np.float64(1 / 3), np.float32(0.1), np.nan, -np.inf, 1e300]
         ints = [0, -3, 10**17, np.int64(7), True, 2, 5]
-        rows = list(zip(floats, ints, ["a", "b", "c", "d", "e", "f", "g"]))
-        text = write_csv(tmp_path / "t.csv", ["x", "n", "s"], rows, "h").read_text()
+        strings = ["a", "b", "c", "d", "e", "f", "g"]
+        columns = {"x": floats, "n": ints, "s": strings}
+        text = write_csv(tmp_path / "t.csv", columns, "h").read_text()
+        rows = list(zip(floats, ints, strings))
         # the per-cell rule the batched columns replace
         expect = [
             ",".join(
@@ -152,7 +155,7 @@ class TestReports:
         assert text.splitlines()[3:] == expect
 
     def test_csv_without_rows_has_only_the_header(self, tmp_path):
-        text = write_csv(tmp_path / "t.csv", ["a", "b"], [], "h").read_text()
+        text = write_csv(tmp_path / "t.csv", {"a": [], "b": []}, "h").read_text()
         assert text.splitlines()[2:] == ["a,b"]
 
     def test_polyline_points_match_per_point_formatting(self):
@@ -224,6 +227,26 @@ class TestPipeline:
             assert record["trace"] == pytest.approx(2.0, rel=1e-10)
             assert record["system_hash"] == oracle["system_hash"]
 
+    def test_stage_tables_match_the_per_row_loops(self, tmp_path):
+        # bands.csv and spectrum.csv against the per-row loops their columns replace
+        config = RunConfig.from_dict(CRYSTAL_CONFIG)
+        run_pipeline(config, tmp_path / "out")
+        bands = band_structure(build_system(config))
+        expect = [
+            f"{format_float(k)},{n},{format_float(bands.bands[n, i])},{bands.occupations[n]}"
+            for n in range(bands.n_bands)
+            for i, k in enumerate(bands.kgrid)
+        ]
+        assert (tmp_path / "out" / "bands.csv").read_text().splitlines()[3:] == expect
+        sp = config["spectrum"]
+        expect = []
+        for n in sp["n_values"]:
+            for k in sp["k_values"]:
+                e1 = boson_energy(BosonSpectrumParams(sp["mass"], sp["gamma"], n, k))
+                cells = [sp["gamma"], sp["mass"], e1, 2.0 * e1]
+                expect.append(",".join([str(n), str(k)] + [format_float(c) for c in cells]))
+        assert (tmp_path / "out" / "spectrum.csv").read_text().splitlines()[3:] == expect
+
     def test_stage_failure_degrades_but_keeps_outputs(self, tmp_path):
         raw = dict(CRYSTAL_CONFIG)
         raw["scf"] = {"max_iter": 1, "tol": 1e-15}
@@ -265,6 +288,28 @@ class TestCli:
         assert code == 2
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["type"] == "ConfigError"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "text,field",
+        [
+            ('{"self_energy": {"kind": "cosine", "scale": NaN}}', "self_energy.scale"),
+            ('{"system": {"spacing": NaN}}', "system.spacing"),
+            ('{"system": {"well_depth": Infinity}}', "system.well_depth"),
+            ('{"dyson": {"eta": Infinity}}', "dyson.eta"),
+            ('{"quasiparticle": {"offset_constant": -Infinity}}', "quasiparticle.offset_constant"),
+        ],
+    )
+    def test_non_finite_number_rejected_before_computation(self, tmp_path, capsys, text, field):
+        # json reads the NaN and Infinity literals as floats
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        with pytest.raises(ConfigError, match=f"{field}: expected a finite number"):
+            RunConfig.from_file(cfg)
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ConfigError" and field in error["message"]
         assert not out_dir.exists()
 
     def test_stage_subcommand_runs_dependencies_only(self, tmp_path, capsys):

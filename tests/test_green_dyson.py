@@ -8,17 +8,18 @@ import pytest
 from qpbench import pipeline
 from qpbench.config import RunConfig
 from qpbench.green_dyson import (
-    SelfEnergyModel,
     default_frequency_grid,
     dressed_eigenproblem,
     dyson_residual,
     dyson_solve,
     free_green,
+    kernel_stack,
     lehmann_spectral_function,
     peak_alignment_error,
     residual_subsample,
     spectral_peaks,
 )
+from qpbench.quasiparticle import mass_shift
 
 
 def random_hermitian(dim, seed, scale=1.0):
@@ -123,7 +124,7 @@ class TestDysonSolve:
     def test_zero_kernel_returns_free_propagator_bitwise(self):
         h = random_hermitian(4, seed=7)
         g0 = free_green(h, np.linspace(-3, 3, 64), eta=1e-3)
-        g = dyson_solve(g0, SelfEnergyModel.zero(4))
+        g = dyson_solve(g0, np.zeros((4, 4)))
         assert np.array_equal(g.matrices, g0.matrices)
         assert g.kind == "dressed"
 
@@ -131,14 +132,14 @@ class TestDysonSolve:
         e, s, eta = 0.3, 0.45, 1e-3
         omegas = np.linspace(-2, 2, 101)
         g0 = free_green(np.array([[e]]), omegas, eta=eta)
-        g = dyson_solve(g0, SelfEnergyModel.constant(np.array([[s]])))
+        g = dyson_solve(g0, np.array([[s]]))
         expect = 1.0 / (omegas + 1j * eta - e - s)
         assert np.max(np.abs(g.matrices[:, 0, 0] - expect)) < 1e-12
 
     def test_residual_contract(self):
         h = random_hermitian(4, seed=8)
         g0 = free_green(h, np.linspace(-4, 4, 200), eta=1e-3)
-        sigma = SelfEnergyModel.constant(random_hermitian(4, seed=9, scale=0.1))
+        sigma = random_hermitian(4, seed=9, scale=0.1)
         g = dyson_solve(g0, sigma)
         assert not g.flagged
         assert dyson_residual(g, g0, sigma) <= 1e-10
@@ -148,10 +149,10 @@ class TestDysonSolve:
         sigma_kernel = random_hermitian(4, seed=10, scale=0.08)
         omegas = default_frequency_grid(np.linalg.eigvalsh(h), count=3000, pad=1.0)
         g0 = free_green(h, omegas, eta=1e-3)
-        g = dyson_solve(g0, SelfEnergyModel.constant(sigma_kernel))
+        g = dyson_solve(g0, sigma_kernel)
         levels = np.linalg.eigvalsh(h + sigma_kernel)  # independent eigensolve
         step = omegas[1] - omegas[0]
-        assert peak_alignment_error(g, levels) <= step
+        assert peak_alignment_error(g.omegas, g.spectral_function(), levels) <= step
 
     def test_singular_frequency_flagged_not_dropped(self):
         # rigged table makes (I - G0 Sigma) exactly singular at omega = 0
@@ -159,15 +160,14 @@ class TestDysonSolve:
         omegas = np.array([-0.5, 0.0, 0.5])
         g0 = free_green(np.array([[0.0]]), omegas, eta=eta)
         kernels = np.array([[[w + 1j * eta]] for w in omegas])
-        sigma = SelfEnergyModel.tabulated_frequency(kernels)
-        g = dyson_solve(g0, sigma)
+        g = dyson_solve(g0, kernels)
         assert 1 in g.flagged
         assert g.matrices.shape == g0.matrices.shape  # flagged, not dropped
 
     def test_defect_above_tolerance_flagged_and_excluded(self):
         h = random_hermitian(3, seed=12)
         g0 = free_green(h, np.linspace(-4, 4, 40), eta=0.5)
-        sigma = SelfEnergyModel.constant(random_hermitian(3, seed=13, scale=0.05))
+        sigma = random_hermitian(3, seed=13, scale=0.05)
         # a negative tolerance fails every frequency's defect test
         g = dyson_solve(g0, sigma, residual_tol=-1.0)
         assert g.flagged == tuple(range(40))
@@ -180,30 +180,45 @@ class TestDysonSolve:
         g0 = free_green(np.diag([-1.0, 0.0, 1.0]), np.linspace(-2, 2, 6), eta=1e-2)
         kernels = np.zeros((6, 3, 3))
         kernels[2, 0, 0] = np.nan
-        g = dyson_solve(g0, SelfEnergyModel.tabulated_frequency(kernels))
+        g = dyson_solve(g0, kernels)
         assert not np.all(np.isfinite(g.matrices[2]))
         assert g.flagged == (2,)
         assert np.isnan(g.defects[2])
 
     def test_residual_propagates_non_finite_defect(self):
         g0 = free_green(np.diag([-1.0, 0.0, 1.0]), np.linspace(-2, 2, 6), eta=1e-2)
-        sigma = SelfEnergyModel.constant(0.1 * np.eye(3))
+        sigma = 0.1 * np.eye(3)
         g = dyson_solve(g0, sigma)
         broken = g.matrices.copy()
         broken[2] = np.nan
         unflagged = dataclasses.replace(g, matrices=broken, flagged=())
         assert np.isnan(dyson_residual(unflagged, g0, sigma))
 
-    def test_frequency_table_length_enforced(self):
+    def test_table_length_enforced(self):
         g0 = free_green(np.eye(2), np.linspace(-1, 1, 10), eta=1e-3)
-        sigma = SelfEnergyModel.tabulated_frequency(np.zeros((5, 2, 2)))
         with pytest.raises(ValueError, match="does not match"):
-            dyson_solve(g0, sigma)
+            dyson_solve(g0, np.zeros((5, 2, 2)))
 
     def test_dimension_mismatch_rejected(self):
         g0 = free_green(np.eye(2), np.array([0.0]), eta=1e-3)
         with pytest.raises(ValueError, match="dimension"):
-            dyson_solve(g0, SelfEnergyModel.zero(3))
+            dyson_solve(g0, np.zeros((3, 3)))
+
+    def test_non_hermitian_static_kernel_rejected(self):
+        g0 = free_green(np.eye(2), np.array([0.0]), eta=1e-3)
+        with pytest.raises(ValueError, match="Hermitian"):
+            dyson_solve(g0, np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_nan_static_kernel_rejected(self):
+        g0 = free_green(np.eye(2), np.array([0.0]), eta=1e-3)
+        with pytest.raises(ValueError, match="Hermitian"):
+            dyson_solve(g0, np.array([[0.1, np.nan], [np.nan, 0.1]]))
+
+    def test_zero_table_returns_free_propagator_bitwise(self):
+        g0 = free_green(random_hermitian(3, seed=26), np.linspace(-2, 2, 8), eta=1e-2)
+        g = dyson_solve(g0, np.zeros((8, 3, 3)))
+        assert np.array_equal(g.matrices, g0.matrices)
+        assert g.flagged == () and np.array_equal(g.defects, np.zeros(8))
 
 
 class TestDressedEigenproblem:
@@ -237,21 +252,24 @@ class TestDressedEigenproblem:
             dressed_eigenproblem(np.eye(2), np.full((2, 2), np.nan))
 
 
-class TestSelfEnergyModel:
-    def test_constant_requires_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            SelfEnergyModel.constant(np.array([[0.0, 1.0], [0.0, 0.0]]))
+class TestKernelStack:
+    def test_static_kernel_is_a_read_only_view(self):
+        kernel = random_hermitian(3, seed=25)
+        stack = kernel_stack(kernel, 4, 3)
+        assert stack.shape == (4, 3, 3)
+        assert np.shares_memory(stack, kernel) and not stack.flags.writeable
+        for row in stack:
+            np.testing.assert_array_equal(row, kernel)
 
-    def test_constant_rejects_nan_kernel(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            SelfEnergyModel.constant(np.array([[0.1, np.nan], [np.nan, 0.1]]))
-
-    def test_momentum_table_mismatch_detected(self):
-        sigma = SelfEnergyModel.tabulated_momentum(
-            np.array([-0.1, 0.1]), np.zeros((2, 3, 3))
-        )
-        with pytest.raises(ValueError, match="momentum mismatch"):
-            sigma.at_momentum(0, 0.3)
+    def test_misaligned_shapes_rejected(self):
+        for sigma, n, d in (
+            (np.zeros((2, 3, 3)), 3, 3),  # table shorter than the grid
+            (np.zeros((3, 3)), 2, 4),  # static kernel of the wrong dimension
+            (np.zeros((2, 3, 4)), 2, 3),  # kernels not square
+            (np.zeros(3), 3, 3),
+        ):
+            with pytest.raises(ValueError, match="does not match"):
+                kernel_stack(sigma, n, d)
 
 
 class TestSpectralFunction:
@@ -259,7 +277,7 @@ class TestSpectralFunction:
         levels = np.array([-1.0, 0.5])
         omegas = np.linspace(-2, 2, 2001)
         g = free_green(np.diag(levels), omegas, eta=1e-3)
-        peaks = spectral_peaks(g)
+        peaks = spectral_peaks(g.omegas, g.spectral_function())
         step = omegas[1] - omegas[0]
         for e in levels:
             assert np.min(np.abs(peaks - e)) <= step
@@ -269,23 +287,19 @@ class TestSpectralFunction:
         g = free_green(h, np.linspace(-4, 4, 777), eta=5e-2)
         a = g.spectral_function()
         idx = [i for i in range(1, a.size - 1) if a[i] > a[i - 1] and a[i] >= a[i + 1]]
-        peaks = spectral_peaks(g)
+        peaks = spectral_peaks(g.omegas, g.spectral_function())
         np.testing.assert_array_equal(peaks, g.omegas[idx])
         levels = np.linalg.eigvalsh(h)
         expect = max(np.min(np.abs(peaks - e)) for e in levels)
-        assert peak_alignment_error(g, levels) == expect
+        assert peak_alignment_error(g.omegas, a, levels) == expect
 
     def test_plateau_and_short_grids(self):
         omegas = np.arange(7.0)
         spectral = np.array([0.0, 1.0, 1.0, 0.5, 2.0, 2.0, 3.0])
-        # a Green function whose spectral function is the array above
-        g = dataclasses.replace(
-            free_green(np.eye(1), omegas, eta=1.0),
-            matrices=(-1j * np.pi * spectral)[:, None, None],
-        )
-        np.testing.assert_array_equal(spectral_peaks(g), [1.0, 4.0])  # first of a plateau
+        # the first point of a plateau is the peak
+        np.testing.assert_array_equal(spectral_peaks(omegas, spectral), [1.0, 4.0])
         for n in range(3):
-            assert spectral_peaks(free_green(np.eye(1), np.zeros(n), eta=1.0)).size == 0
+            assert spectral_peaks(np.zeros(n), np.ones(n)).size == 0
 
 
 class TestBlockedFrequencyAxis:
@@ -307,18 +321,18 @@ class TestBlockedFrequencyAxis:
     def test_dyson_solve_matches_reference(self, dim, count):
         g0 = free_green(random_hermitian(dim, seed=dim), np.linspace(-3, 3, count), eta=1e-2)
         kernel = random_hermitian(dim, seed=dim + 1, scale=0.1)
-        g = dyson_solve(g0, SelfEnergyModel.constant(kernel))
+        g = dyson_solve(g0, kernel)
         out, defects, flagged = reference_dyson(g0, [kernel] * count)
         np.testing.assert_array_equal(g.matrices, out)
         np.testing.assert_array_equal(g.defects, defects)
         assert g.flagged == flagged == ()
 
-    def test_frequency_table_across_block_boundaries(self):
+    def test_kernel_table_across_block_boundaries(self):
         # 256 frequencies per block at d = 4: 600 spans three blocks
         count = 600
         g0 = free_green(random_hermitian(4, seed=18), np.linspace(-3, 3, count), eta=1e-2)
         kernels = np.array([random_hermitian(4, seed=s, scale=0.05) for s in range(count)])
-        g = dyson_solve(g0, SelfEnergyModel.tabulated_frequency(kernels))
+        g = dyson_solve(g0, kernels)
         out, defects, flagged = reference_dyson(g0, kernels)
         np.testing.assert_array_equal(g.matrices, out)
         np.testing.assert_array_equal(g.defects, defects)
@@ -332,7 +346,7 @@ class TestBlockedFrequencyAxis:
         kernels = np.zeros((9, 2, 2), dtype=complex)
         kernels[:, 0, 0] = 0.1
         kernels[4, 0, 0] = omegas[4] + 1j * eta  # Sigma = 1 / G0 on level 0
-        g = dyson_solve(g0, SelfEnergyModel.tabulated_frequency(kernels))
+        g = dyson_solve(g0, kernels)
         assert g.flagged == (4,)
         assert np.all(np.isnan(g.matrices[4])) and np.isnan(g.defects[4])
         out, defects, _ = reference_dyson(g0, kernels)
@@ -345,7 +359,7 @@ class TestBlockedFrequencyAxis:
         dim, count = 20, 2000
         propagator = count * dim * dim * 16
         h = random_hermitian(dim, seed=20)
-        sigma = SelfEnergyModel.constant(random_hermitian(dim, seed=21, scale=0.1))
+        sigma = random_hermitian(dim, seed=21, scale=0.1)
         omegas = np.linspace(-3, 3, count)
         tracemalloc.start()
         try:
@@ -392,7 +406,7 @@ class TestLehmannSpectralFunction:
         h = random_hermitian(6, seed=22)
         kernel = random_hermitian(6, seed=23, scale=0.1)
         omegas = np.linspace(-4, 4, 301)
-        dressed = dyson_solve(free_green(h, omegas, eta=1e-2), SelfEnergyModel.constant(kernel))
+        dressed = dyson_solve(free_green(h, omegas, eta=1e-2), kernel)
         weights = lehmann_spectral_function(np.linalg.eigvalsh(h + kernel), omegas, 1e-2)
         np.testing.assert_allclose(weights, dressed.spectral_function(), rtol=1e-10, atol=0)
 
@@ -403,12 +417,18 @@ class TestLehmannSpectralFunction:
         np.testing.assert_allclose(weights, expect, rtol=1e-15)
 
     def test_pair_and_propagator_give_the_same_peaks(self):
+        # the Lehmann weights and -Im Tr G / pi of the propagator peak alike
         h = random_hermitian(5, seed=24)
         g = free_green(h, np.linspace(-4, 4, 555), eta=5e-2)
-        pair = (g.omegas, g.spectral_function())
-        np.testing.assert_array_equal(spectral_peaks(pair), spectral_peaks(g))
         levels = np.linalg.eigvalsh(h)
-        assert peak_alignment_error(pair, levels) == peak_alignment_error(g, levels)
+        weights = lehmann_spectral_function(levels, g.omegas, g.eta)
+        propagator = g.spectral_function()
+        np.testing.assert_array_equal(
+            spectral_peaks(g.omegas, weights), spectral_peaks(g.omegas, propagator)
+        )
+        assert peak_alignment_error(g.omegas, weights, levels) == peak_alignment_error(
+            g.omegas, propagator, levels
+        )
 
 
 class TestResidualSubsample:
@@ -472,10 +492,11 @@ def test_stage_spectrum_matches_full_grid_dyson_solve(tmp_path, boundary, kind):
     h, kernel = _full_grid_route(config)
     levels = np.asarray(record["dressed_levels"])
     np.testing.assert_array_equal(levels, dressed_eigenproblem(h, kernel))
-    full = dyson_solve(free_green(h, omegas, eta=record["eta"]), SelfEnergyModel.constant(kernel))
+    full = dyson_solve(free_green(h, omegas, eta=record["eta"]), kernel)
     assert full.flagged == ()
-    np.testing.assert_allclose(weights, full.spectral_function(), rtol=1e-10, atol=0)
-    assert record["peak_alignment_error"] == peak_alignment_error(full, levels)
+    full_weights = full.spectral_function()
+    np.testing.assert_allclose(weights, full_weights, rtol=1e-10, atol=0)
+    assert record["peak_alignment_error"] == peak_alignment_error(omegas, full_weights, levels)
 
 
 def test_stage_solves_on_the_subsample_and_flags_in_grid_indices(tmp_path, monkeypatch):
@@ -499,14 +520,25 @@ def test_stage_solves_on_the_subsample_and_flags_in_grid_indices(tmp_path, monke
 
 
 @pytest.mark.parametrize("kind", ["zero", "constant", "cosine"])
-def test_model_table_is_built_from_the_stage_kernel(kind):
+def test_model_table_is_built_from_the_stage_kernel(tmp_path, monkeypatch, kind):
+    # the quasiparticle stage hands mass_shift one stage kernel per band momentum
+    calls = []
+
+    def recording_shift(band, sigma, results, kgrid):
+        calls.append((sigma, kgrid))
+        return mass_shift(band, sigma, results, kgrid)
+
+    monkeypatch.setattr(pipeline, "mass_shift", recording_shift)
     config = _stage_config("periodic", kind)
-    kgrid = np.linspace(-1.2, 1.2, 5)
-    model = pipeline._self_energy_model(config, 4, kgrid)
-    for i, k in enumerate(kgrid):
-        np.testing.assert_array_equal(
-            model.at_momentum(i, float(k)), pipeline._self_energy_kernel(config, 4, k)
-        )
+    system = pipeline.build_system(config)
+    state = {"bands": pipeline._bands_for(system, config)}
+    pipeline._stage_quasiparticle(system, config, tmp_path, config.hash(), state)
+    ((table, kgrid),) = calls
+    dim = system.grid.npoints
+    assert kgrid is state["bands"].kgrid
+    assert table.shape == (kgrid.size, dim, dim)
+    for kernel, k in zip(table, kgrid):
+        np.testing.assert_array_equal(kernel, pipeline._self_energy_kernel(config, dim, k))
 
 
 def test_stage_never_holds_a_propagator(tmp_path):

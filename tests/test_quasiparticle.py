@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from qpbench.green_dyson import SelfEnergyModel
 from qpbench.hartree_fock import band_structure
 from qpbench.model_system import build_soft_coulomb_system
 from qpbench.quasiparticle import (
@@ -59,14 +58,14 @@ class TestReferencePoint:
 class TestMassShift:
     def test_zero_kernel(self, crystal_bands):
         system, bands = crystal_bands
-        sigma = SelfEnergyModel.zero(system.grid.npoints)
+        sigma = np.zeros((system.grid.npoints, system.grid.npoints))
         shift = mass_shift(0, sigma, list(bands.scf_results), bands.kgrid)
         assert shift.delta_m0 == 0.0
         assert np.max(np.abs(shift.delta_mk)) == 0.0
 
     def test_constant_kernel_shifts_zone_center_only(self, crystal_bands):
         system, bands = crystal_bands
-        sigma = SelfEnergyModel.constant(0.7 * np.eye(system.grid.npoints))
+        sigma = 0.7 * np.eye(system.grid.npoints)
         shift = mass_shift(0, sigma, list(bands.scf_results), bands.kgrid)
         assert shift.delta_m0 == pytest.approx(0.7, abs=1e-12)
         assert np.max(np.abs(shift.delta_mk)) < 1e-12
@@ -75,8 +74,7 @@ class TestMassShift:
         system, bands = crystal_bands
         dim = system.grid.npoints
         kernels = np.array([0.4 * np.cos(k) * np.eye(dim) for k in bands.kgrid])
-        sigma = SelfEnergyModel.tabulated_momentum(bands.kgrid, kernels)
-        shift = mass_shift(0, sigma, list(bands.scf_results), bands.kgrid)
+        shift = mass_shift(0, kernels, list(bands.scf_results), bands.kgrid)
         # symmetric momentum grid: entry i pairs with the mirrored entry
         assert np.max(np.abs(shift.delta_mk - shift.delta_mk[::-1])) < 1e-12
 
@@ -87,16 +85,14 @@ class TestMassShift:
         base = rng.normal(size=(dim, dim))
         base = 0.1 * (base + base.T)
         kernels = np.array([np.cos(k) * base for k in bands.kgrid])
-        sigma = SelfEnergyModel.tabulated_momentum(bands.kgrid, kernels)
-        shift = mass_shift(0, sigma, list(bands.scf_results), bands.kgrid)
+        shift = mass_shift(0, kernels, list(bands.scf_results), bands.kgrid)
         assert np.max(np.abs(shift.delta_mk - shift.delta_mk[::-1])) < 1e-10
 
     def test_zone_center_sample_agrees_with_extrapolation(self, crystal_bands_gamma):
         system, bands = crystal_bands_gamma
         dim = system.grid.npoints
         kernels = np.array([0.4 * np.cos(k) * np.eye(dim) for k in bands.kgrid])
-        sigma = SelfEnergyModel.tabulated_momentum(bands.kgrid, kernels)
-        shift = mass_shift(0, sigma, list(bands.scf_results), bands.kgrid)
+        shift = mass_shift(0, kernels, list(bands.scf_results), bands.kgrid)
         center = int(np.argmin(np.abs(bands.kgrid)))
         assert bands.kgrid[center] == 0.0
         assert shift.raw[center] == pytest.approx(shift.delta_m0, abs=1e-8)
@@ -108,9 +104,34 @@ class TestMassShift:
         bad = np.zeros((dim, dim))
         bad[0, 1] = 1.0
         kernels = np.array([bad for _ in bands.kgrid])
-        sigma = SelfEnergyModel.tabulated_momentum(bands.kgrid, kernels)
         with pytest.raises(ValueError, match="Hermitian"):
-            mass_shift(0, sigma, list(bands.scf_results), bands.kgrid)
+            mass_shift(0, kernels, list(bands.scf_results), bands.kgrid)
+
+    def test_nan_kernel_rejected(self, crystal_bands):
+        # a NaN shift would otherwise reach classify_regime and read as light
+        system, bands = crystal_bands
+        dim = system.grid.npoints
+        kernel = 0.2 * np.eye(dim)
+        kernel[1, 2] = kernel[2, 1] = np.nan
+        with pytest.raises(ValueError, match="Hermitian"):
+            mass_shift(0, kernel, list(bands.scf_results), bands.kgrid)
+
+    def test_nan_table_row_rejected(self, crystal_bands):
+        system, bands = crystal_bands
+        dim = system.grid.npoints
+        kernels = np.array([0.4 * np.cos(k) * np.eye(dim) for k in bands.kgrid])
+        kernels[3, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="Hermitian"):
+            mass_shift(0, kernels, list(bands.scf_results), bands.kgrid)
+
+    def test_table_not_aligned_with_kgrid_rejected(self, crystal_bands):
+        system, bands = crystal_bands
+        dim = system.grid.npoints
+        kernels = np.zeros((bands.kgrid.size - 1, dim, dim))
+        with pytest.raises(ValueError, match="does not match"):
+            mass_shift(0, kernels, list(bands.scf_results), bands.kgrid)
+        with pytest.raises(ValueError, match="does not match"):
+            mass_shift(0, np.zeros((dim + 1, dim + 1)), list(bands.scf_results), bands.kgrid)
 
 
 class TestZoneReference:
@@ -154,10 +175,8 @@ class TestStrictReference:
         system, bands = crystal_bands
         dim = system.grid.npoints
         results = list(bands.scf_results)
-        shift0 = mass_shift(0, SelfEnergyModel.zero(dim), results, bands.kgrid)
-        shiftc = mass_shift(
-            0, SelfEnergyModel.constant(0.3 * np.eye(dim)), results, bands.kgrid
-        )
+        shift0 = mass_shift(0, np.zeros((dim, dim)), results, bands.kgrid)
+        shiftc = mass_shift(0, 0.3 * np.eye(dim), results, bands.kgrid)
         extr = reference_point(bands.bands[0], 2, "min")
         ref0 = strict_reference(extr, shift0.delta_m0)
         refc = strict_reference(extr, shiftc.delta_m0)
@@ -185,7 +204,7 @@ class TestAssembledLevel:
         dim = system.grid.npoints
         shift = mass_shift(
             0,
-            SelfEnergyModel.constant(1.5 * np.eye(dim)),
+            1.5 * np.eye(dim),
             list(bands.scf_results),
             bands.kgrid,
         )
@@ -201,7 +220,7 @@ class TestAssembledLevel:
         system, bands = crystal_bands
         shift = mass_shift(
             0,
-            SelfEnergyModel.zero(system.grid.npoints),
+            np.zeros((system.grid.npoints, system.grid.npoints)),
             list(bands.scf_results),
             bands.kgrid,
         )
@@ -214,7 +233,7 @@ class TestAssembledLevel:
         dim = system.grid.npoints
         shift = mass_shift(
             0,
-            SelfEnergyModel.constant(1.2 * np.eye(dim)),
+            1.2 * np.eye(dim),
             list(bands.scf_results),
             bands.kgrid,
         )
