@@ -19,7 +19,6 @@ import numpy as np
 
 from .model_system import PERIODIC, ModelSystem, core_hamiltonian
 
-_DEGENERACY_TOL = 1e-10
 _DIIS_SIZE = 8  # error vectors kept per momentum
 _DIIS_MAX_COND = 1e12  # oldest vectors are dropped above this condition number
 
@@ -65,7 +64,7 @@ class SCFResult:
 
 @dataclass(frozen=True)
 class BandStructure:
-    """Band samples over a symmetric momentum grid."""
+    """Band samples over a symmetric momentum grid (the single point k = 0 for a box)."""
 
     kgrid: np.ndarray
     bands: np.ndarray  # (n_bands, nk)
@@ -160,46 +159,6 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
         vectors *= np.where(mag > 0, np.conj(val) / np.where(mag > 0, mag, 1.0), 1.0)
     else:
         vectors *= np.where(val < 0, -1.0, 1.0)
-    return vectors
-
-
-def _align_block_order(
-    eigenvalues: np.ndarray, vectors: np.ndarray, previous: np.ndarray
-) -> np.ndarray:
-    """Within degenerate blocks of one matrix, order columns by overlap with ``previous``."""
-    out = vectors.copy()
-    start = 0
-    n = eigenvalues.size
-    while start < n:
-        stop = start + 1
-        while stop < n and eigenvalues[stop] - eigenvalues[start] < _DEGENERACY_TOL:
-            stop += 1
-        if stop - start > 1:
-            block = out[:, start:stop]
-            prev = previous[:, start:stop]
-            overlap = np.abs(prev.conj().T @ block)
-            order = []
-            used = set()
-            for row in overlap:
-                ranked = np.argsort(-row, kind="stable")
-                pick = next(int(c) for c in ranked if int(c) not in used)
-                used.add(pick)
-                order.append(pick)
-            out[:, start:stop] = block[:, order]
-        start = stop
-    return out
-
-
-def _align_degenerate(
-    eigenvalues: np.ndarray, vectors: np.ndarray, previous: np.ndarray, rows: np.ndarray
-) -> np.ndarray:
-    """Stacked :func:`_align_block_order` in place, run only on matrices with a degenerate pair.
-
-    Matrix ``i`` of ``vectors`` is aligned with ``previous[rows[i]]``.
-    """
-    degenerate = np.any(np.diff(eigenvalues, axis=-1) < _DEGENERACY_TOL, axis=-1)
-    for i in np.flatnonzero(degenerate):
-        vectors[i] = _align_block_order(eigenvalues[i], vectors[i], previous[rows[i]])
     return vectors
 
 
@@ -335,12 +294,10 @@ def _scf(
     h = np.stack([core_hamiltonian(system, k) for k in momenta])
     nk = h.shape[0]
     if guess_orbitals is None:
-        _, previous = np.linalg.eigh(h)  # last eigenvectors, for degenerate alignment
-        psi = previous[..., :nocc] / np.sqrt(w)
+        psi = np.linalg.eigh(h)[1][..., :nocc] / np.sqrt(w)
     else:
         guess = np.asarray(guess_orbitals)[:, :nocc]
-        previous = np.zeros_like(h, dtype=np.result_type(h, guess))
-        psi = np.empty((nk, g, nocc), dtype=previous.dtype)
+        psi = np.empty((nk, g, nocc), dtype=np.result_type(h, guess))
         psi[:] = guess
     history = _PulayHistory(nk, g, nocc, psi.dtype)
     residuals = [[] for _ in range(nk)]
@@ -368,18 +325,15 @@ def _scf(
         if np.any(done):
             active, h_active = active[~done], h_active[~done]
         kernel = history.extrapolated_kernel(active, history.coefficients(active))
-        eigenvalues, vectors = np.linalg.eigh(fock_of(h_active, kernel)[2])
+        vectors = np.linalg.eigh(fock_of(h_active, kernel)[2])[1]
         del kernel
-        _fix_phases(_align_degenerate(eigenvalues, vectors, previous, active))
-        previous[active] = vectors
-        psi[active] = vectors[..., :nocc] / np.sqrt(w)
+        psi[active] = _fix_phases(vectors[..., :nocc]) / np.sqrt(w)
         del vectors
 
     # eigenpairs of the un-extrapolated operator at each momentum's last density
     hartree, exchange, total = fock_of(h, psi @ _adjoint(psi))
     eigenvalues, orbitals = np.linalg.eigh(total)
-    _fix_phases(_align_degenerate(eigenvalues, orbitals, previous, np.arange(nk)))
-    del previous
+    _fix_phases(orbitals)
     orbitals /= np.sqrt(w)
 
     results = []
@@ -428,41 +382,34 @@ def scf_solve(
     return _scf(system, [k], max_iter, tol, guess_orbitals)[0]
 
 
-def band_structure(
-    system: ModelSystem,
-    max_iter: int = 500,
-    tol: float = 1e-10,
-    n_bands: int | None = None,
-) -> BandStructure:
-    """Solve the SCF at every sampled momentum in lockstep and collect the band energies.
+def band_structure(system: ModelSystem, max_iter: int = 500, tol: float = 1e-10) -> BandStructure:
+    """Solve the SCF at every sampled momentum and collect the band energies.
 
-    The zone center, when sampled, runs in real arithmetic apart from the
-    complex Bloch momenta.  Bands are checked for the k -> -k symmetry of
-    quasiparticle dispersion; the largest violation per band is recorded.
-    Momenta whose SCF failed are marked unconverged so downstream analysis can
-    exclude the band.
+    A periodic system solves its k-grid in lockstep; the zone center, when
+    sampled, runs on its own so it stays in real arithmetic apart from the
+    complex Bloch momenta.  A box system has no crystal momentum: its band
+    structure is one record at k = 0, the :func:`scf_solve` solution, with
+    symmetry residuals that are zero by construction.  Bands are checked for
+    the k -> -k symmetry of quasiparticle dispersion; the largest violation
+    per band is recorded.  Momenta whose SCF failed are marked unconverged so
+    downstream analysis can exclude the band.
     """
-    if system.boundary != PERIODIC:
-        raise ValueError("band structure requires a periodic system")
-    kgrid = system.kgrid
-    if kgrid.size == 0:
-        raise ValueError("periodic system has an empty momentum grid")
+    if system.boundary == PERIODIC:
+        kgrid = system.kgrid
+        results = [None] * kgrid.size
+        center = kgrid == 0.0
+        for group in (np.flatnonzero(center), np.flatnonzero(~center)):
+            if group.size:
+                for i, res in zip(group, _scf(system, kgrid[group].tolist(), max_iter, tol)):
+                    results[i] = res
+    else:
+        kgrid = np.zeros(1)
+        results = [scf_solve(system, 0.0, max_iter, tol)]
 
-    results = [None] * kgrid.size
-    center = kgrid == 0.0
-    for group in (np.flatnonzero(center), np.flatnonzero(~center)):
-        if group.size:
-            solved = _scf(system, [float(k) for k in kgrid[group]], max_iter, tol)
-            for i, res in zip(group, solved):
-                results[i] = res
-
-    g = system.grid.npoints
-    nb = g if n_bands is None else min(n_bands, g)
-    bands = np.array([res.eigenvalues[:nb] for res in results]).T
+    bands = np.array([res.eigenvalues for res in results]).T
     converged = np.array([res.converged for res in results], dtype=bool)
-    nocc = results[0].n_occupied
-    occupations = np.zeros(nb, dtype=int)
-    occupations[:nocc] = 1 if system.n_electrons == 1 else 2
+    occupations = np.zeros(bands.shape[0], dtype=int)
+    occupations[: results[0].n_occupied] = 1 if system.n_electrons == 1 else 2
 
     # pair momenta with their negatives (the grid is symmetric by construction)
     order = {float(k): i for i, k in enumerate(kgrid)}

@@ -23,19 +23,14 @@ from .green_dyson import (
     peak_alignment_error,
     residual_subsample,
 )
-from .hartree_fock import BandStructure, band_structure, scf_solve
+from .hartree_fock import BandStructure, band_structure
 from .hydrogenic import BosonSpectrumParams, boson_energy, mass_operator_limit
 from .many_body import (
     exact_reduced_density_matrix,
     full_ci_ground_state,
     natural_occupations,
 )
-from .model_system import (
-    PERIODIC,
-    ModelSystem,
-    build_soft_coulomb_system,
-    core_hamiltonian,
-)
+from .model_system import ModelSystem, build_soft_coulomb_system, core_hamiltonian
 from .quasiparticle import assemble_level, band_midpoint, mass_shift, reference_point
 
 
@@ -62,23 +57,6 @@ def _self_energy_kernel(config: RunConfig, dim: int, k: float) -> np.ndarray:
     return spec["scale"] * np.cos(k) * np.eye(dim)
 
 
-def _bands_for(system: ModelSystem, config: RunConfig) -> BandStructure:
-    scf = config["scf"]
-    if system.boundary == PERIODIC:
-        return band_structure(system, max_iter=scf["max_iter"], tol=scf["tol"])
-    res = scf_solve(system, max_iter=scf["max_iter"], tol=scf["tol"])
-    occupations = np.zeros(res.eigenvalues.size, dtype=int)
-    occupations[: res.n_occupied] = 1 if system.n_electrons == 1 else 2
-    return BandStructure(
-        kgrid=np.zeros(1),
-        bands=res.eigenvalues[:, None],
-        occupations=occupations,
-        converged_per_k=np.array([res.converged]),
-        symmetry_residuals=np.zeros(res.eigenvalues.size),
-        scf_results=(res,),
-    )
-
-
 def band_trace_residual(bands: BandStructure, n_electrons: int, spacing: float) -> float:
     """Residual of the band-0 trace identity over every sampled momentum.
 
@@ -89,8 +67,7 @@ def band_trace_residual(bands: BandStructure, n_electrons: int, spacing: float) 
     projectors, h_ops, v_ops = [], [], []
     for res in bands.scf_results:
         vec = res.orbitals[:, 0] * np.sqrt(spacing)
-        k_here = 0.0 if res.momentum is None else res.momentum
-        projectors.append(band_projector(0, k_here, vec))
+        projectors.append(band_projector(0, res.momentum, vec))
         h_ops.append(res.fock.h_core)
         v_ops.append(res.fock.hartree - res.fock.exchange)
     eps0 = reference_point(bands.bands[0], n_electrons, "min")
@@ -124,7 +101,8 @@ def _stage_oracle(system, config, out_dir, chash, state):
 
 
 def _stage_bands(system, config, out_dir, chash, state):
-    bands = _bands_for(system, config)
+    scf = config["scf"]
+    bands = band_structure(system, max_iter=scf["max_iter"], tol=scf["tol"])
     state["bands"] = bands
     nk = bands.kgrid.size
     columns = {
@@ -142,7 +120,7 @@ def _stage_bands(system, config, out_dir, chash, state):
     for res in bands.scf_results:
         log.append(
             {
-                "k": res.momentum if res.momentum is not None else 0.0,
+                "k": res.momentum,
                 "converged": res.converged,
                 "iterations": res.iterations,
                 "final_residual": res.final_residual,
@@ -234,6 +212,10 @@ def _stage_dyson(system, config, out_dir, chash, state):
     # dress the solution at the momentum nearest the zone center
     idx = int(np.argmin(np.abs(bands.kgrid)))
     res = bands.scf_results[idx]
+    if not res.converged:
+        raise ValueError(
+            f"SCF at k={res.momentum!r} is not converged; Dyson dressing rejected"
+        )
     hamiltonian = res.fock.total
     kernel = _self_energy_kernel(config, system.grid.npoints, bands.kgrid[idx])
     levels = dressed_eigenproblem(hamiltonian, kernel)

@@ -146,8 +146,10 @@ def classify_regime(delta_m0: float, threshold: float = 1.0) -> str:
     """Light electron for vanishing mass shift, heavy at or above the threshold.
 
     Intermediate values have no sharp classification; they are flagged with a
-    warning and treated as light.
+    warning and treated as light.  A NaN or infinite shift is rejected.
     """
+    if not np.isfinite(delta_m0):
+        raise ValueError(f"mass shift {delta_m0!r} is not finite")
     if abs(delta_m0) < _LIGHT_TOL * threshold:
         return LIGHT
     if delta_m0 >= threshold:

@@ -65,9 +65,10 @@ def density_matrix_record(dm, generating_system_hash: str) -> dict:
 
 
 def _format_column(cells) -> list[str]:
-    """One CSV column: 17 significant digits when every cell is a float, else str."""
-    if all(isinstance(c, (float, np.floating)) for c in cells):
-        return [_FLOAT_FORMAT % c for c in np.asarray(cells, dtype=float).tolist()]
+    """One CSV column: 17 significant digits when its dtype is floating, else str."""
+    values = np.asarray(cells)
+    if values.dtype.kind == "f":
+        return [_FLOAT_FORMAT % c for c in values.astype(float, copy=False).tolist()]
     return [str(c) for c in cells]
 
 

@@ -19,6 +19,7 @@ from qpbench.green_dyson import (
     residual_subsample,
     spectral_peaks,
 )
+from qpbench.hartree_fock import band_structure
 from qpbench.quasiparticle import mass_shift
 
 
@@ -469,7 +470,7 @@ def _stage_config(boundary, kind, count=600):
 def _full_grid_route(config):
     """The dressed propagator on the whole grid, rebuilt outside the stage."""
     system = pipeline.build_system(config)
-    bands = pipeline._bands_for(system, config)
+    bands = band_structure(system)
     idx = int(np.argmin(np.abs(bands.kgrid)))
     h = bands.scf_results[idx].fock.total
     scale = config["self_energy"]["scale"]
@@ -497,6 +498,20 @@ def test_stage_spectrum_matches_full_grid_dyson_solve(tmp_path, boundary, kind):
     full_weights = full.spectral_function()
     np.testing.assert_allclose(weights, full_weights, rtol=1e-10, atol=0)
     assert record["peak_alignment_error"] == peak_alignment_error(omegas, full_weights, levels)
+
+
+@pytest.mark.parametrize("boundary", ["box", "periodic"])
+def test_unconverged_scf_is_not_dressed(tmp_path, boundary):
+    data = _stage_config(boundary, "constant").data
+    data["scf"]["max_iter"] = 1
+    report = pipeline.run_pipeline(RunConfig.from_dict(data), tmp_path)
+    assert report["stages"]["bands"]["status"] == "completed"
+    assert not report["stages"]["bands"]["metrics"]["all_converged"]
+    dyson = report["stages"]["dyson"]
+    assert dyson["status"] == "failed"
+    assert "not converged" in dyson["error"]
+    assert not (tmp_path / "dyson.json").exists()
+    assert not (tmp_path / "spectral.csv").exists()
 
 
 def test_stage_solves_on_the_subsample_and_flags_in_grid_indices(tmp_path, monkeypatch):
@@ -531,7 +546,7 @@ def test_model_table_is_built_from_the_stage_kernel(tmp_path, monkeypatch, kind)
     monkeypatch.setattr(pipeline, "mass_shift", recording_shift)
     config = _stage_config("periodic", kind)
     system = pipeline.build_system(config)
-    state = {"bands": pipeline._bands_for(system, config)}
+    state = {"bands": band_structure(system)}
     pipeline._stage_quasiparticle(system, config, tmp_path, config.hash(), state)
     ((table, kgrid),) = calls
     dim = system.grid.npoints
@@ -551,7 +566,7 @@ def test_stage_never_holds_a_propagator(tmp_path):
         }
     )
     system = pipeline.build_system(config)
-    state = {"bands": pipeline._bands_for(system, config)}
+    state = {"bands": band_structure(system)}
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from qpbench.hartree_fock import (
-    _align_degenerate,
     _fix_phases,
     _PulayHistory,
     band_structure,
@@ -178,11 +177,18 @@ class TestScfSolve:
 
 class TestBandStructure:
     def test_free_lattice_matches_stencil_dispersion(self):
-        system = free_lattice()
-        bands = band_structure(system)
-        h = system.grid.spacing
-        expect = (1.0 - np.cos(bands.kgrid * h)) / h**2
-        assert np.max(np.abs(bands.bands[0] - expect)) < 1e-10
+        # the odd grid samples k = 0, where every band above the lowest is an
+        # exactly degenerate +-G pair
+        for kpoints in (8, 7):
+            system = free_lattice(kpoints=kpoints)
+            bands = band_structure(system)
+            h, g = system.grid.spacing, system.grid.npoints
+            assert np.all(bands.converged_per_k)
+            # band n at k: the n-th lowest (1 - cos((k + G) h)) / h^2 over G = 2 pi m / L
+            shifts = 2.0 * np.pi * np.arange(g) / system.grid.length
+            q = bands.kgrid[None, :] + shifts[:, None]
+            expect = np.sort((1.0 - np.cos(q * h)) / h**2, axis=0)
+            assert np.max(np.abs(bands.bands - expect)) < 1e-10
 
     def test_band_symmetry_under_momentum_reversal(self, crystal2):
         bands = band_structure(crystal2)
@@ -230,9 +236,13 @@ class TestBandStructure:
         assert max(res.iterations for res in bands.scf_results) <= 40
         assert np.max(bands.symmetry_residuals) <= 1e-8
 
-    def test_box_system_rejected(self, well2):
-        with pytest.raises(ValueError, match="periodic"):
-            band_structure(well2)
+    def test_box_system_is_one_zone_center_point(self, well2):
+        bands = band_structure(well2)
+        res = scf_solve(well2, 0.0)
+        assert bands.kgrid.tolist() == [0.0]
+        assert bands.scf_results[0].momentum == 0.0
+        assert np.array_equal(bands.bands[:, 0], res.eigenvalues)
+        assert np.all(bands.symmetry_residuals == 0.0)
 
 
 def _random_kernel(g, rank, rng):
@@ -330,16 +340,6 @@ class TestSolverInternals:
         tol = 4 * np.finfo(float).eps * np.max(np.abs(vecs))
         for i in range(4):
             assert np.max(np.abs(got[i] - _fix_phases_loop(vecs[i]))) <= tol
-
-    def test_alignment_touches_only_degenerate_matrices(self):
-        rng = np.random.default_rng(4)
-        vecs = rng.normal(size=(3, 4, 4))
-        previous = vecs[:, :, [0, 2, 1, 3]]
-        eigenvalues = np.array([[0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 1.0, 3.0], [0.0, 1.0, 2.0, 3.0]])
-        out = _align_degenerate(eigenvalues, vecs.copy(), previous, np.arange(3))
-        assert np.array_equal(out[0], vecs[0])
-        assert np.array_equal(out[2], vecs[2])
-        assert np.array_equal(out[1], vecs[1][:, [0, 2, 1, 3]])
 
     def test_pulay_matrix_matches_explicit_commutators(self):
         # B_ij = Tr(e_i^H e_j) with e_i = [F_i, gamma_i] built as full matrices

@@ -197,6 +197,12 @@ class TestRegime:
         with pytest.warns(UserWarning, match="between"):
             assert classify_regime(0.5) == LIGHT
 
+    @pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf])
+    def test_non_finite_shift_rejected(self, shift):
+        # NaN compares false against both thresholds and would read as light
+        with pytest.raises(ValueError, match="not finite"):
+            classify_regime(shift)
+
 
 class TestAssembledLevel:
     def test_invariants(self, crystal_bands):
