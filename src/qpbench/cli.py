@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, reports
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, read_config_file
 from .pipeline import STAGE_TABLE, STAGES, run_pipeline
 from .verification import run_all_checks
 
@@ -59,9 +59,7 @@ def _fail(kind: str, message: str, code: int) -> int:
 
 
 def _load_config(args) -> RunConfig:
-    raw = json.loads(Path(args.config).read_text())
-    if not isinstance(raw, dict):
-        raise ConfigError("top level of the config must be a mapping")
+    raw = read_config_file(args.config)
     if args.seed is not None:
         raw["seed"] = args.seed
     overrides = {
@@ -76,13 +74,18 @@ def _load_config(args) -> RunConfig:
 
 
 def _run_verify(args) -> int:
+    if args.out is not None:
+        # an unusable --out fails before the checks spend their time
+        out_dir = Path(args.out)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            return _fail(type(exc).__name__, str(exc), EXIT_FAILURE)
     results = run_all_checks()
     for result in results:
         # timings vary run to run, so they go to stdout, not the report
         print(f"{result.line()} [{result.timing()}]")
     if args.out is not None:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         payload = {
             "checks": [
                 {
@@ -109,10 +112,6 @@ def main(argv=None) -> int:
 
     try:
         config = _load_config(args)
-    except FileNotFoundError as exc:
-        return _fail("ConfigError", f"config file not found: {exc.filename}", EXIT_CONFIG)
-    except json.JSONDecodeError as exc:
-        return _fail("ConfigError", f"config is not valid JSON: {exc}", EXIT_CONFIG)
     except ConfigError as exc:
         return _fail("ConfigError", str(exc), EXIT_CONFIG)
 

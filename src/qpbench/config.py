@@ -138,6 +138,23 @@ def _validate_level(raw: dict, schema: dict, path: str) -> dict:
     return out
 
 
+def read_config_file(path) -> dict:
+    """The JSON mapping in a config file; any read, decode or parse failure is a ConfigError."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise ConfigError(f"config file not found: {exc.filename}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("top level of the config must be a mapping")
+    return raw
+
+
 def validate_config(raw: dict) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("top level of the config must be a mapping")
@@ -165,12 +182,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        text = Path(path).read_text()
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(read_config_file(path))
 
     def __getitem__(self, key: str):
         return self.data[key]

@@ -9,7 +9,7 @@ normalization N!/(N-n)!.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +19,8 @@ GRID = "grid"
 STATE = "state"
 
 _MAX_MATRIX_ENTRIES = 8_000_000
+# hf_decomposition's bound on |rho2 - rho2[rho1]|, relative to max |rho2|
+_FACTORIZATION_TOL = 1e-8
 
 
 def normalization_target(n_electrons: int, order: int) -> float:
@@ -36,20 +38,22 @@ class DensityMatrix:
     dim_single: int
     weight: float = 1.0
     basis: str = ORBITAL
-    target: float | None = None
 
     def __post_init__(self):
         m = np.asarray(self.matrix)
         object.__setattr__(self, "matrix", m)
+        if self.order > self.n_electrons:
+            raise ValueError(f"order {self.order} exceeds the electron count {self.n_electrons}")
         dim = self.dim_single**self.order
         if m.shape != (dim, dim):
             raise ValueError(
                 f"matrix shape {m.shape} does not match dim_single**order = {dim}"
             )
-        if self.target is None:
-            object.__setattr__(
-                self, "target", normalization_target(self.n_electrons, self.order)
-            )
+
+    @property
+    def target(self) -> float:
+        """Continuum normalization N!/(N-n)! that :meth:`trace` should reproduce."""
+        return normalization_target(self.n_electrons, self.order)
 
     def trace(self) -> float:
         """Grid-weighted trace over the diagonal coordinate tuples."""
@@ -86,7 +90,6 @@ class DensityMatrix:
             dim_single=d,
             weight=self.weight,
             basis=self.basis,
-            target=normalization_target(self.n_electrons, n - 1),
         )
 
     def pair_diagonal(self) -> np.ndarray:
@@ -112,16 +115,12 @@ def check_matrix_size(dim: int, order: int) -> None:
 
 @dataclass(frozen=True)
 class Projector:
-    """Outer product |ket_band; ket_momentum><bra_band; bra_momentum|.
+    """Outer product |ket><bra| of two grid vectors.
 
-    The generating vectors are stored alongside the outer product so
-    idempotency and orthogonality checks stay exact.
+    Only the generating vectors are stored; :attr:`matrix` forms the outer
+    product on demand, so idempotency and orthogonality checks stay exact.
     """
 
-    bra_band: int
-    ket_band: int
-    bra_momentum: float
-    ket_momentum: float
     ket_vector: np.ndarray
     bra_vector: np.ndarray
 
@@ -136,17 +135,10 @@ class Projector:
         return complex(self.bra_vector.conj() @ operator @ self.ket_vector)
 
 
-def band_projector(band: int, momentum: float, vector: np.ndarray) -> Projector:
-    """Diagonal projector |n;k><n;k| onto a single band state."""
+def band_projector(vector: np.ndarray) -> Projector:
+    """Diagonal projector |n;k><n;k| onto a single band state's orbital."""
     v = np.asarray(vector)
-    return Projector(
-        bra_band=band,
-        ket_band=band,
-        bra_momentum=momentum,
-        ket_momentum=momentum,
-        ket_vector=v,
-        bra_vector=v,
-    )
+    return Projector(ket_vector=v, bra_vector=v)
 
 
 def pure_state_projector(state_vector: np.ndarray) -> DensityMatrix:
@@ -166,7 +158,6 @@ def pure_state_projector(state_vector: np.ndarray) -> DensityMatrix:
         dim_single=v.size,
         weight=1.0,
         basis=STATE,
-        target=1.0,
     )
 
 
@@ -260,7 +251,6 @@ def hf_decomposition(
     v_kernel: np.ndarray,
     rho1: DensityMatrix,
     h_matrix: np.ndarray,
-    factorization_tol: float = 1e-8,
 ) -> tuple[float, float]:
     """Split the determinant energy into Sp(h rho1) and the pair term (1/2) Sp(v rho2).
 
@@ -279,7 +269,7 @@ def hf_decomposition(
     rebuilt = np.einsum("ac,bd->abcd", p, p) - 0.5 * np.einsum("ad,bc->abcd", p, p)
     err = float(np.max(np.abs(rho2_hf.matrix - rebuilt.reshape(g * g, g * g))))
     scale = max(1.0, float(np.max(np.abs(rho2_hf.matrix))))
-    if err > factorization_tol * scale:
+    if err > _FACTORIZATION_TOL * scale:
         raise ValueError(
             f"rho2 is not determinant-factorized (max deviation {err:.3e}); "
             "the one-determinant split is unsupported for correlated states"

@@ -61,7 +61,6 @@ class GreenFunction:
     omegas: np.ndarray
     eta: float
     matrices: np.ndarray
-    kind: str  # "free" | "dressed"
     flagged: tuple = ()
     defects: np.ndarray | None = None
 
@@ -114,7 +113,7 @@ def free_green(
     matrices = np.empty((omegas.size, d, d), dtype=complex)
     for b in _blocks(omegas.size, d):
         matrices[b] = np.linalg.inv((omegas[b, None, None] + 1j * eta) * eye - h)
-    return GreenFunction(omegas=omegas, eta=eta, matrices=matrices, kind="free")
+    return GreenFunction(omegas=omegas, eta=eta, matrices=matrices)
 
 
 def _defect(g: np.ndarray, g0: np.ndarray, sig: np.ndarray) -> float:
@@ -156,7 +155,6 @@ def dyson_solve(
             omegas=g0.omegas,
             eta=g0.eta,
             matrices=g0.matrices.copy(),
-            kind="dressed",
             defects=np.zeros(nw),
         )
     out = np.empty_like(g0.matrices)
@@ -178,7 +176,6 @@ def dyson_solve(
         omegas=g0.omegas,
         eta=g0.eta,
         matrices=out,
-        kind="dressed",
         flagged=tuple(flagged.tolist()),
         defects=defects,
     )

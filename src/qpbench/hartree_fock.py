@@ -31,7 +31,6 @@ class FockOperator:
     hartree: np.ndarray
     exchange: np.ndarray
     total: np.ndarray
-    momentum: float | None = None
 
     def hermiticity_error(self) -> float:
         return float(np.max(np.abs(self.total - self.total.conj().T)))
@@ -76,12 +75,6 @@ class BandStructure:
     @property
     def n_bands(self) -> int:
         return self.bands.shape[0]
-
-    def band_converged(self, band: int) -> bool:
-        """A failed SCF at any momentum invalidates every band at that momentum."""
-        if not 0 <= band < self.n_bands:
-            raise ValueError(f"band index {band} out of range")
-        return bool(np.all(self.converged_per_k))
 
 
 def _adjoint(a: np.ndarray) -> np.ndarray:
@@ -133,9 +126,7 @@ def build_fock(
     h = core_hamiltonian(system, k)
     kernel = np.array(rho1_full, dtype=np.result_type(rho1_full, float))
     hartree, exchange, total = _mean_field(system, h, rho1_diag, kernel)
-    return FockOperator(
-        h_core=h, hartree=np.diag(hartree), exchange=exchange, total=total, momentum=k
-    )
+    return FockOperator(h_core=h, hartree=np.diag(hartree), exchange=exchange, total=total)
 
 
 def _occupied_count(n_electrons: int) -> int:
@@ -358,7 +349,6 @@ def _scf(
                     hartree=np.diag(hartree[i]),
                     exchange=exchange[i],
                     total=total[i],
-                    momentum=k,
                 ),
             )
         )

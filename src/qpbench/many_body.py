@@ -33,13 +33,12 @@ _PAIR_BLOCK = 1 << 20
 class OrbitalBasis:
     """Lowest eigenfunctions of the one-body operator, quadrature-normalized."""
 
-    energies: np.ndarray  # (m,)
     functions: np.ndarray  # (grid, m), columns phi_m(x)
     spacing: float
 
     @property
     def size(self) -> int:
-        return self.energies.size
+        return self.functions.shape[1]
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,6 @@ class NBodyWavefunction:
     determinants: tuple
     coefficients: np.ndarray
     basis: OrbitalBasis
-    spin_labels: tuple
     sz: float
 
     @cached_property
@@ -109,11 +107,8 @@ def orbital_basis(system: ModelSystem, cutoff: int) -> OrbitalBasis:
     if not 1 <= cutoff <= g:
         raise ValueError(f"orbital cutoff must lie in [1, {g}]")
     h = core_hamiltonian(system)
-    energies, vectors = np.linalg.eigh(h)
-    phi = vectors[:, :cutoff] / math.sqrt(system.grid.spacing)
-    return OrbitalBasis(
-        energies=energies[:cutoff], functions=phi, spacing=system.grid.spacing
-    )
+    phi = np.linalg.eigh(h)[1][:, :cutoff] / math.sqrt(system.grid.spacing)
+    return OrbitalBasis(functions=phi, spacing=system.grid.spacing)
 
 
 def two_body_integrals(basis: OrbitalBasis, v_kernel: np.ndarray) -> np.ndarray:
@@ -252,13 +247,11 @@ def full_ci_ground_state(
     pivot = int(np.argmax(np.abs(coeff)))
     if coeff[pivot] < 0:
         coeff = -coeff
-    spin_labels = tuple("up" if p % 2 == 0 else "down" for p in range(n_so))
     state = NBodyWavefunction(
         n_electrons=n,
         determinants=dets,
         coefficients=coeff.astype(complex),
         basis=basis,
-        spin_labels=spin_labels,
         sz=float(sz),
     )
     return float(eigvals[0]), state

@@ -19,16 +19,15 @@ _UNIFORMITY_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform 1D real-space grid.
+    """Uniform 1D real-space grid: strictly increasing ``points`` a constant ``spacing`` apart.
 
-    ``length`` is the periodic cell length ``spacing * npoints`` (one spacing
-    past the last point), so a periodic wrap maps point ``npoints - 1`` onto
-    point ``0`` at distance ``spacing``.
+    :attr:`length` is derived, not stored: the periodic cell length
+    ``spacing * npoints`` (one spacing past the last point), so a periodic
+    wrap maps point ``npoints - 1`` onto point ``0`` at distance ``spacing``.
     """
 
     points: np.ndarray
     spacing: float
-    length: float
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -40,13 +39,15 @@ class Grid:
             raise ValueError("grid points must be strictly increasing")
         if np.max(np.abs(deltas - self.spacing)) > _UNIFORMITY_RTOL * abs(self.spacing):
             raise ValueError("grid points must be uniformly spaced")
-        if abs(self.length - self.spacing * pts.size) > _UNIFORMITY_RTOL * self.length:
-            raise ValueError("grid length must equal spacing * point count")
         pts.setflags(write=False)
 
     @property
     def npoints(self) -> int:
         return self.points.size
+
+    @property
+    def length(self) -> float:
+        return self.spacing * self.points.size
 
 
 def make_grid(npoints: int, spacing: float) -> Grid:
@@ -57,7 +58,7 @@ def make_grid(npoints: int, spacing: float) -> Grid:
         raise ValueError("spacing must be positive")
     start = -0.5 * spacing * (npoints - 1)
     points = start + spacing * np.arange(npoints)
-    return Grid(points=points, spacing=float(spacing), length=float(spacing * npoints))
+    return Grid(points=points, spacing=float(spacing))
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,7 @@ def build_soft_coulomb_system(
     softening: float,
     n_electrons: int,
     boundary: str = BOX,
-    kpoints: int = 0,
+    kpoints: int = 8,
     wells: int = 1,
 ) -> ModelSystem:
     """Assemble a soft-Coulomb well (box) or a lattice of soft wells (periodic).
@@ -184,7 +185,7 @@ def build_soft_coulomb_system(
         for c in centers:
             d = _min_image(pts - c, grid.length)
             u -= well_depth / np.sqrt(d * d + softening * softening)
-        kgrid = symmetric_kgrid(kpoints if kpoints > 0 else 8, grid.length)
+        kgrid = symmetric_kgrid(kpoints, grid.length)
     else:
         u = -well_depth / np.sqrt(pts * pts + softening * softening)
         kgrid = np.zeros(0)

@@ -67,7 +67,7 @@ def band_trace_residual(bands: BandStructure, n_electrons: int, spacing: float) 
     projectors, h_ops, v_ops = [], [], []
     for res in bands.scf_results:
         vec = res.orbitals[:, 0] * np.sqrt(spacing)
-        projectors.append(band_projector(0, res.momentum, vec))
+        projectors.append(band_projector(vec))
         h_ops.append(res.fock.h_core)
         v_ops.append(res.fock.hartree - res.fock.exchange)
     eps0 = reference_point(bands.bands[0], n_electrons, "min")
@@ -157,18 +157,22 @@ def _stage_quasiparticle(system, config, out_dir, chash, state):
     band = qp["band"]
     if band >= bands.n_bands:
         raise ValueError(f"quasiparticle band {band} out of range")
-    converged = bands.band_converged(band)
+    # a failed SCF at any momentum invalidates every band at that momentum
+    unconverged = next((res for res in bands.scf_results if not res.converged), None)
+    if unconverged is not None:
+        raise ValueError(
+            f"SCF at k={unconverged.momentum!r} is not converged (final residual "
+            f"{unconverged.final_residual!r}); quasiparticle levels rejected"
+        )
     dim = system.grid.npoints
     sigma = np.array([_self_energy_kernel(config, dim, k) for k in bands.kgrid])
     shift = mass_shift(band, sigma, list(bands.scf_results), bands.kgrid)
     level = assemble_level(
-        band,
         bands.bands[band],
         shift,
         system.n_electrons,
         extremum_kind=qp["extremum"],
         offset_constant=qp["offset_constant"],
-        converged=converged,
     )
     # residual of the averaged band-trace identity: single-band accounting,
     # meaningful when one spatial band carries all electrons
@@ -185,7 +189,7 @@ def _stage_quasiparticle(system, config, out_dir, chash, state):
         "plus_level": level.plus_level,
         "minus_level": level.minus_level,
         "regime": level.regime,
-        "offset_constant": level.offset_constant,
+        "offset_constant": qp["offset_constant"],
         "delta_m0": shift.delta_m0,
         "delta_mk": shift.delta_mk,
         "kgrid": bands.kgrid,

@@ -20,45 +20,38 @@ LIGHT = "light"
 HEAVY = "heavy"
 
 _LIGHT_TOL = 1e-6
+_HEAVY_THRESHOLD = 1.0  # mass shift at and above which the electron is heavy
 
 
 @dataclass(frozen=True)
 class MassShift:
     """Zone-center mass shift and its momentum-dependent remainder for one band."""
 
-    band: int
     delta_m0: float
     delta_mk: np.ndarray  # per momentum, vanishing toward k = 0
-    kgrid: np.ndarray
-    raw: np.ndarray  # full per-momentum expectation delta_m0 + delta_mk
 
 
 @dataclass(frozen=True)
 class QuasiparticleLevel:
     """Reference-point bookkeeping for one band."""
 
-    band: int
     reference_epsilon0: float
     shifted_reference: float
     pair_energy: float
     plus_level: float
     minus_level: float
     regime: str
-    offset_constant: float
 
 
 def reference_point(
     band_energies: np.ndarray,
     n_electrons: int,
     extremum_kind: str = "min",
-    converged: bool = True,
 ) -> float:
     """Band reference point: the chosen extremum of the samples divided by N."""
     e = np.asarray(band_energies, dtype=float)
     if e.size == 0:
         raise ValueError("band has no samples")
-    if not converged:
-        raise ValueError("band is not converged; reference point rejected")
     if extremum_kind == "min":
         extr = float(np.min(e))
     elif extremum_kind == "max":
@@ -93,7 +86,7 @@ def mass_shift(
         raise ValueError("one SCF result per momentum required")
     kernels = kernel_stack(sigma_c, kgrid.size, scf_results[0].orbitals.shape[0])
     w = None
-    raw = np.empty(kgrid.size)
+    raw = np.empty(kgrid.size)  # per-momentum expectation delta_m0 + delta_mk
     for i, (k, res, kernel) in enumerate(zip(kgrid, scf_results, kernels)):
         check_hermitian(kernel, f"self-energy kernel at k={float(k)!r}")
         vec = res.orbitals[:, band]
@@ -101,13 +94,7 @@ def mass_shift(
             w = 1.0 / float(np.real(vec.conj() @ vec))  # quadrature weight
         raw[i] = float(np.real(vec.conj() @ kernel @ vec) * w)
     delta_m0 = _extrapolate_to_zero(kgrid, raw)
-    return MassShift(
-        band=band,
-        delta_m0=delta_m0,
-        delta_mk=raw - delta_m0,
-        kgrid=kgrid,
-        raw=raw,
-    )
+    return MassShift(delta_m0=delta_m0, delta_mk=raw - delta_m0)
 
 
 def _extrapolate_to_zero(kgrid: np.ndarray, values: np.ndarray) -> float:
@@ -142,17 +129,17 @@ def strict_reference(extr_over_n: float, delta_m0: float) -> float:
     return extr_over_n - delta_m0
 
 
-def classify_regime(delta_m0: float, threshold: float = 1.0) -> str:
-    """Light electron for vanishing mass shift, heavy at or above the threshold.
+def classify_regime(delta_m0: float) -> str:
+    """Light electron for vanishing mass shift, heavy at or above ``_HEAVY_THRESHOLD``.
 
     Intermediate values have no sharp classification; they are flagged with a
     warning and treated as light.  A NaN or infinite shift is rejected.
     """
     if not np.isfinite(delta_m0):
         raise ValueError(f"mass shift {delta_m0!r} is not finite")
-    if abs(delta_m0) < _LIGHT_TOL * threshold:
+    if abs(delta_m0) < _LIGHT_TOL:
         return LIGHT
-    if delta_m0 >= threshold:
+    if delta_m0 >= _HEAVY_THRESHOLD:
         return HEAVY
     warnings.warn(
         f"mass shift {delta_m0!r} between the light and heavy regimes; treating as light",
@@ -162,28 +149,24 @@ def classify_regime(delta_m0: float, threshold: float = 1.0) -> str:
 
 
 def assemble_level(
-    band: int,
     band_energies: np.ndarray,
     shift: MassShift,
     n_electrons: int,
     extremum_kind: str = "min",
     offset_constant: float = 0.0,
-    converged: bool = True,
 ) -> QuasiparticleLevel:
     """Combine a band with its mass shift into the full reference-point record."""
-    extr_over_n = reference_point(band_energies, n_electrons, extremum_kind, converged)
+    extr_over_n = reference_point(band_energies, n_electrons, extremum_kind)
     extr = extr_over_n * n_electrons
     eps0 = strict_reference(extr_over_n, shift.delta_m0)
     plus_level, minus_level, pair_energy = zone_reference(
         extr - offset_constant, shift.delta_m0
     )
     return QuasiparticleLevel(
-        band=band,
         reference_epsilon0=eps0,
         shifted_reference=eps0 + shift.delta_m0,
         pair_energy=pair_energy,
         plus_level=plus_level,
         minus_level=minus_level,
         regime=classify_regime(shift.delta_m0),
-        offset_constant=offset_constant,
     )

@@ -106,14 +106,12 @@ class TestReports:
         kgrid = np.linspace(-0.4, 0.4, 8)
         bands = np.vstack([np.cos(kgrid), 1 + np.cos(kgrid), 2 + np.cos(kgrid)])
         level = QuasiparticleLevel(
-            band=0,
             reference_epsilon0=-0.5,
             shifted_reference=0.0,
             pair_energy=-0.25,
             plus_level=-0.25,
             minus_level=0.25,
             regime="heavy",
-            offset_constant=0.0,
         )
         svg = band_plot_svg(kgrid, bands, [level], "hash")
         assert svg.count("<polyline") == 3
@@ -311,6 +309,46 @@ class TestCli:
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["type"] == "ConfigError" and field in error["message"]
         assert not out_dir.exists()
+
+    def _assert_config_error(self, path, capsys, message):
+        # both config routes give the same ConfigError, and the CLI prints one record
+        with pytest.raises(ConfigError) as raised:
+            RunConfig.from_file(path)
+        out_dir = path.parent / "out"
+        assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error == {"type": "ConfigError", "message": str(raised.value)}
+        assert message in error["message"]
+        assert not out_dir.exists()
+
+    def test_missing_config_file_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        self._assert_config_error(path, capsys, f"config file not found: {path}")
+
+    def test_config_directory_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.mkdir()
+        self._assert_config_error(path, capsys, f"cannot read config file {path}")
+
+    def test_non_utf8_config_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"seed": "\xff"}')
+        self._assert_config_error(path, capsys, "codec can't decode")
+
+    def test_verify_rejects_an_out_file_before_any_check(self, tmp_path, capsys, monkeypatch):
+        def no_checks():
+            raise AssertionError("checks ran before --out was created")
+
+        monkeypatch.setattr("qpbench.cli.run_all_checks", no_checks)
+        target = tmp_path / "taken"
+        target.write_text("keep")
+        assert main(["verify", "--out", str(target)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "FileExistsError"
+        assert target.read_text() == "keep"
 
     def test_stage_subcommand_runs_dependencies_only(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, CRYSTAL_CONFIG)

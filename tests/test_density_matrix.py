@@ -69,7 +69,7 @@ class TestBandProjectors:
         rng = np.random.default_rng(8)
         v = rng.normal(size=6) + 1j * rng.normal(size=6)
         v /= np.linalg.norm(v)
-        proj = band_projector(0, 0.1, v)
+        proj = band_projector(v)
         m = proj.matrix
         assert np.max(np.abs(np.outer(v, v.conj()) - m)) < 1e-14
         assert np.max(np.abs(m @ m - m)) < 1e-10
@@ -77,14 +77,7 @@ class TestBandProjectors:
     def test_cross_band_projector_is_nilpotent(self):
         # orthonormal band pair: the squared off-diagonal projector vanishes
         basis = np.linalg.qr(np.random.default_rng(9).normal(size=(5, 2)))[0]
-        proj = Projector(
-            bra_band=0,
-            ket_band=1,
-            bra_momentum=0.0,
-            ket_momentum=0.0,
-            ket_vector=basis[:, 1],
-            bra_vector=basis[:, 0],
-        )
+        proj = Projector(ket_vector=basis[:, 1], bra_vector=basis[:, 0])
         square = proj.matrix @ proj.matrix
         assert np.max(np.abs(square)) < 1e-10
 
@@ -239,7 +232,7 @@ class TestTraceIdentity:
         res = scf_solve(system)
         vec = res.orbitals[:, 0] * np.sqrt(grid.spacing)
         residual = trace_energy_identity(
-            [band_projector(0, 0.0, vec)],
+            [band_projector(vec)],
             [res.fock.h_core],
             [res.fock.hartree - res.fock.exchange],
             np.array([res.eigenvalues[0]]),
@@ -254,7 +247,7 @@ class TestTraceIdentity:
         res = scf_solve(system)
         vec = res.orbitals[:, 0] * np.sqrt(system.grid.spacing)
         residual = trace_energy_identity(
-            [band_projector(0, 0.0, vec)],
+            [band_projector(vec)],
             [res.fock.h_core],
             [res.fock.hartree - res.fock.exchange],
             np.array([res.eigenvalues[0]]),
@@ -272,6 +265,11 @@ class TestDensityMatrixContainer:
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="shape"):
             DensityMatrix(order=2, n_electrons=2, matrix=np.eye(3), dim_single=2)
+
+    def test_order_above_electron_count_rejected(self):
+        # the normalization target N!/(N-n)! needs n <= N
+        with pytest.raises(ValueError, match="exceeds the electron count"):
+            DensityMatrix(order=2, n_electrons=1, matrix=np.eye(4), dim_single=2)
 
     def test_pair_diagonal_requires_order_two(self):
         rho = DensityMatrix(order=1, n_electrons=2, matrix=np.eye(4), dim_single=4)

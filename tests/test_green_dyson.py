@@ -127,7 +127,6 @@ class TestDysonSolve:
         g0 = free_green(h, np.linspace(-3, 3, 64), eta=1e-3)
         g = dyson_solve(g0, np.zeros((4, 4)))
         assert np.array_equal(g.matrices, g0.matrices)
-        assert g.kind == "dressed"
 
     def test_single_level_closed_form(self):
         e, s, eta = 0.3, 0.45, 1e-3

@@ -50,7 +50,8 @@ class TestNoninteractingLimits:
         energy, state = full_ci_ground_state(system, orbital_cutoff=6, sz=1.0)
         assert energy == pytest.approx(levels[0] + levels[1], abs=1e-12)
         assert state.sz == 1.0
-        assert all(label == "up" for p, label in enumerate(state.spin_labels) if p % 2 == 0)
+        # even spin-orbital indices are spin up: both electrons sit on even indices
+        assert all(p % 2 == 0 for det in state.determinants for p in det)
 
 
 class TestVariationalBehavior:

@@ -26,15 +26,11 @@ class TestGrid:
     def test_nonuniform_points_rejected(self):
         pts = np.array([0.0, 1.0, 2.5])
         with pytest.raises(ValueError, match="uniform"):
-            Grid(points=pts, spacing=1.0, length=3.0)
+            Grid(points=pts, spacing=1.0)
 
     def test_decreasing_points_rejected(self):
         with pytest.raises(ValueError, match="increasing"):
-            Grid(points=np.array([0.0, -1.0]), spacing=1.0, length=2.0)
-
-    def test_length_must_match(self):
-        with pytest.raises(ValueError, match="length"):
-            Grid(points=np.array([0.0, 1.0]), spacing=1.0, length=5.0)
+            Grid(points=np.array([0.0, -1.0]), spacing=1.0)
 
 
 class TestSoftCoulombKernel:
