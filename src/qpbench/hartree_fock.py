@@ -6,14 +6,18 @@ self-interaction cancel identically, so both terms are dropped).  Exchange is
 always applied as a full nonlocal matrix.
 
 One SCF loop serves every caller.  It iterates a stack of momenta in lockstep
-(a band structure passes its whole k-grid, :func:`scf_solve` one momentum),
+(a band structure passes its momenta k > 0, :func:`scf_solve` one momentum),
 accelerated by Pulay DIIS on the commutator error [F, gamma] (Pulay, Chem.
 Phys. Lett. 73, 393 (1980); J. Comput. Chem. 3, 556 (1982)).
+
+The external potential and the interaction are real, so H(-k) = H(k)*: a
+band structure solves only k >= 0 and fills each -k result by complex
+conjugation of its +k partner (time reversal).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,12 +73,16 @@ class BandStructure:
     bands: np.ndarray  # (n_bands, nk)
     occupations: np.ndarray  # (n_bands,)
     converged_per_k: np.ndarray  # bool (nk,)
-    symmetry_residuals: np.ndarray  # (n_bands,)
     scf_results: tuple
 
     @property
     def n_bands(self) -> int:
         return self.bands.shape[0]
+
+    @property
+    def symmetry_residuals(self) -> np.ndarray:
+        """Max |e_n(k) - e_n(-k)| per band: zero, since -k is filled from +k."""
+        return np.zeros(self.n_bands)
 
 
 def _adjoint(a: np.ndarray) -> np.ndarray:
@@ -372,45 +380,60 @@ def scf_solve(
     return _scf(system, [k], max_iter, tol, guess_orbitals)[0]
 
 
-def band_structure(system: ModelSystem, max_iter: int = 500, tol: float = 1e-10) -> BandStructure:
-    """Solve the SCF at every sampled momentum and collect the band energies.
+def _time_reversed(res: SCFResult, k: float) -> SCFResult:
+    """The solution at ``k`` = -res.momentum: the potential is real, so H(-k) = H(k)*.
 
-    A periodic system solves its k-grid in lockstep; the zone center, when
-    sampled, runs on its own so it stays in real arithmetic apart from the
-    complex Bloch momenta.  A box system has no crystal momentum: its band
-    structure is one record at k = 0, the :func:`scf_solve` solution, with
-    symmetry residuals that are zero by construction.  Bands are checked for
-    the k -> -k symmetry of quasiparticle dispersion; the largest violation
-    per band is recorded.  Momenta whose SCF failed are marked unconverged so
-    downstream analysis can exclude the band.
+    Orbitals and the complex Fock parts are conjugated; the real Hartree
+    potential, the eigenvalues and the convergence record are shared.
     """
-    if system.boundary == PERIODIC:
-        kgrid = system.kgrid
-        results = [None] * kgrid.size
-        center = kgrid == 0.0
-        for group in (np.flatnonzero(center), np.flatnonzero(~center)):
-            if group.size:
-                for i, res in zip(group, _scf(system, kgrid[group].tolist(), max_iter, tol)):
-                    results[i] = res
-    else:
-        kgrid = np.zeros(1)
-        results = [scf_solve(system, 0.0, max_iter, tol)]
+    fock = res.fock
+    return replace(
+        res,
+        orbitals=res.orbitals.conj(),
+        momentum=k,
+        fock=replace(
+            fock,
+            h_core=fock.h_core.conj(),
+            exchange=fock.exchange.conj(),
+            total=fock.total.conj(),
+        ),
+    )
+
+
+def band_structure(system: ModelSystem, max_iter: int = 500, tol: float = 1e-10) -> BandStructure:
+    """Solve the SCF at every sampled momentum k >= 0 and fill -k by time reversal.
+
+    A box system has no crystal momentum: its band structure is one record at
+    k = 0, the :func:`scf_solve` solution.  A periodic system solves the zone
+    center, when sampled, on its own, so it stays in real arithmetic, and the
+    momenta k > 0 in lockstep.  Each -k result is the complex conjugate of its
+    +k partner (the grid is symmetric by construction), so e(k) = e(-k) holds
+    exactly and the symmetry residuals are zero by construction.  Momenta
+    whose SCF failed are marked unconverged so downstream analysis can
+    exclude the band.
+    """
+    kgrid = system.kgrid if system.boundary == PERIODIC else np.zeros(1)
+    results = [None] * kgrid.size
+    for i in np.flatnonzero(kgrid == 0.0):
+        results[i] = scf_solve(system, 0.0, max_iter, tol)
+    positive = np.flatnonzero(kgrid > 0.0)
+    if positive.size:
+        for i, res in zip(positive, _scf(system, kgrid[positive].tolist(), max_iter, tol)):
+            results[i] = res
+    solved = {float(k): results[i] for i, k in enumerate(kgrid) if k >= 0.0}
+    for i in np.flatnonzero(kgrid < 0.0):
+        k = float(kgrid[i])
+        results[i] = _time_reversed(solved[-k], k)
 
     bands = np.array([res.eigenvalues for res in results]).T
     converged = np.array([res.converged for res in results], dtype=bool)
     occupations = np.zeros(bands.shape[0], dtype=int)
     occupations[: results[0].n_occupied] = 1 if system.n_electrons == 1 else 2
 
-    # pair momenta with their negatives (the grid is symmetric by construction)
-    order = {float(k): i for i, k in enumerate(kgrid)}
-    partner = np.array([order[float(-k)] for k in kgrid])
-    sym = np.max(np.abs(bands - bands[:, partner]), axis=1)
-
     return BandStructure(
         kgrid=kgrid,
         bands=bands,
         occupations=occupations,
         converged_per_k=converged,
-        symmetry_residuals=sym,
         scf_results=tuple(results),
     )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qpbench import hartree_fock
 from qpbench.hartree_fock import (
     _fix_phases,
     _PulayHistory,
@@ -235,6 +236,54 @@ class TestBandStructure:
         assert np.all(bands.converged_per_k)
         assert max(res.iterations for res in bands.scf_results) <= 40
         assert np.max(bands.symmetry_residuals) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "kpoints, n_electrons", [(8, 2), (5, 2), (1, 2), (2, 2), (4, 1)]
+    )
+    def test_solves_nonnegative_momenta_and_conjugates_the_rest(
+        self, monkeypatch, kpoints, n_electrons
+    ):
+        system = build_soft_coulomb_system(
+            (12, 0.5), 2.0, 1.0, n_electrons, PERIODIC, kpoints=kpoints
+        )
+        solved = []
+        real_scf = hartree_fock._scf
+
+        def spy(system, momenta, *args, **kwargs):
+            solved.extend(momenta)
+            return real_scf(system, momenta, *args, **kwargs)
+
+        monkeypatch.setattr(hartree_fock, "_scf", spy)
+        bands = band_structure(system)
+        kgrid = system.kgrid
+        assert all(k >= 0.0 for k in solved)
+        assert sorted(solved) == sorted(float(k) for k in kgrid if k >= 0.0)
+        assert len(solved) == (kgrid.size + 1) // 2
+        assert np.all(bands.converged_per_k)
+        assert np.array_equal(bands.symmetry_residuals, np.zeros(bands.n_bands))
+        by_momentum = {res.momentum: res for res in bands.scf_results}
+        for k, res in zip(kgrid, bands.scf_results):
+            assert res.momentum == float(k)
+            if k == 0.0:
+                assert not np.iscomplexobj(res.orbitals)
+            if k >= 0.0:
+                continue
+            plus = by_momentum[-float(k)]
+            assert np.array_equal(res.orbitals, plus.orbitals.conj())
+            assert np.array_equal(res.eigenvalues, plus.eigenvalues)
+            assert np.array_equal(res.fock.h_core, plus.fock.h_core.conj())
+            assert np.array_equal(res.fock.exchange, plus.fock.exchange.conj())
+            assert np.array_equal(res.fock.total, plus.fock.total.conj())
+            assert np.array_equal(res.fock.hartree, plus.fock.hartree)
+            assert res.residual_history == plus.residual_history
+            assert res.energy_history == plus.energy_history
+            assert (res.iterations, res.converged, res.energy) == (
+                plus.iterations,
+                plus.converged,
+                plus.energy,
+            )
+            # the conjugated core operator is the one at -k itself
+            assert np.array_equal(res.fock.h_core, core_hamiltonian(system, float(k)))
 
     def test_box_system_is_one_zone_center_point(self, well2):
         bands = band_structure(well2)
