@@ -103,7 +103,9 @@ def _mean_field(system: ModelSystem, h: np.ndarray, density: np.ndarray, kernel:
         return np.zeros(density.shape), kernel, h.copy()
     w = system.grid.spacing
     v = system.interaction_kernel
-    hartree = density @ v * w
+    # one product per momentum: a row inside a larger GEMM may round differently,
+    # which would make a momentum's result depend on its stack neighbours
+    hartree = (density[..., None, :] @ v)[..., 0, :] * w
     exchange = kernel
     exchange *= v
     exchange *= w

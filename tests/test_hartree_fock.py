@@ -216,7 +216,7 @@ class TestBandStructure:
         for i, k in enumerate(crystal2.kgrid):
             res = scf_solve(crystal2, k=float(k))
             assert res.iterations == bands.scf_results[i].iterations
-            assert np.max(np.abs(res.eigenvalues - bands.bands[:, i])) < 1e-12
+            assert np.array_equal(res.eigenvalues, bands.bands[:, i])
 
     def test_zone_center_stays_real_in_odd_grid(self):
         system = build_soft_coulomb_system((12, 0.5), 2.0, 1.0, 2, PERIODIC, kpoints=5)
