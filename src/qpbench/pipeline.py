@@ -218,7 +218,8 @@ def _stage_dyson(system, config, out_dir, chash, state):
     res = bands.scf_results[idx]
     if not res.converged:
         raise ValueError(
-            f"SCF at k={res.momentum!r} is not converged; Dyson dressing rejected"
+            f"SCF at k={res.momentum!r} is not converged (final residual "
+            f"{res.final_residual!r}); Dyson dressing rejected"
         )
     hamiltonian = res.fock.total
     kernel = _self_energy_kernel(config, system.grid.npoints, bands.kgrid[idx])

@@ -4,9 +4,11 @@ Each criterion from the verification suite runs at its stated tolerance and
 prints one pass/fail line; the whole module must be green for a release.
 """
 
+import dataclasses
+
 import pytest
 
-from qpbench import verification
+from qpbench import hartree_fock, verification
 
 
 @pytest.mark.parametrize(
@@ -31,3 +33,18 @@ def test_criterion(check):
     result = verification.run_check(check)
     print(result.line())
     assert result.passed, result.detail
+
+
+def test_band_symmetry_catches_a_corrupted_minus_k_fill(monkeypatch):
+    # the band structure's own symmetry residuals stay zero whatever the fill
+    # does; the check solves -k itself and sees the shifted bands
+    real_fill = hartree_fock._time_reversed
+
+    def shifted_fill(res, k):
+        filled = real_fill(res, k)
+        return dataclasses.replace(filled, eigenvalues=filled.eigenvalues + 1e-6)
+
+    monkeypatch.setattr(hartree_fock, "_time_reversed", shifted_fill)
+    result = verification.check_band_symmetry()
+    assert not result.passed
+    assert result.measured == pytest.approx(1e-6, rel=1e-3)

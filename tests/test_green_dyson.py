@@ -508,7 +508,15 @@ def test_unconverged_scf_is_not_dressed(tmp_path, boundary):
     assert not report["stages"]["bands"]["metrics"]["all_converged"]
     dyson = report["stages"]["dyson"]
     assert dyson["status"] == "failed"
-    assert "not converged" in dyson["error"]
+    # the error names the dressed momentum, the one nearest the zone center,
+    # and its final residual, both as in scf_log.json
+    records = json.loads((tmp_path / "scf_log.json").read_text())["records"]
+    dressed = min(records, key=lambda record: abs(record["k"]))
+    assert not dressed["converged"]
+    assert dyson["error"] == (
+        f"ValueError: SCF at k={dressed['k']!r} is not converged (final residual "
+        f"{dressed['final_residual']!r}); Dyson dressing rejected"
+    )
     assert not (tmp_path / "dyson.json").exists()
     assert not (tmp_path / "spectral.csv").exists()
 
