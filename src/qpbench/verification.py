@@ -155,10 +155,8 @@ def check_band_symmetry() -> CheckResult:
     explicit = _scf(system, bands.kgrid[negative].tolist(), 500, 1e-10)
     if not all(res.converged for res in explicit):
         return CheckResult("band_symmetry", False, float("inf"), 1e-8, "-k SCF unconverged")
-    worst = max(
-        float(np.max(np.abs(res.eigenvalues - bands.bands[:, i])))
-        for i, res in zip(negative, explicit)
-    )
+    explicit_bands = np.array([res.eigenvalues for res in explicit]).T
+    worst = float(np.max(np.abs(explicit_bands - bands.bands[:, negative])))
     return _result("band_symmetry", worst, 1e-8)
 
 
