@@ -1,9 +1,11 @@
-"""Exact brute-force solver for tiny electron counts.
+"""Exact solver for tiny electron counts.
 
 Full configuration interaction over the lowest one-body orbitals, used as the
 ground-truth oracle for density matrices, energies and mean-field comparisons.
 Spin is bookkept through explicit spin-orbital indices (even = up, odd = down)
-so antisymmetry checks stay direct.
+so antisymmetry checks stay direct.  The dense CI matrix of a sector is built
+in full; its lowest eigenpair comes from a Davidson loop whose eigenvalue is
+certified by a Cholesky factorization, with a full ``eigh`` as the fallback.
 """
 
 from __future__ import annotations
@@ -27,6 +29,11 @@ _MAX_ELECTRONS = 4
 _MAX_DETERMINANTS = 20_000
 # determinant pairs per row block of the CI build, bounding its intermediates
 _PAIR_BLOCK = 1 << 20
+# Davidson settings for the lowest CI eigenpair (see _lowest_eigenpair)
+_DAVIDSON_MIN_DETERMINANTS = 128  # below this a full eigh is as fast
+_DAVIDSON_MAX_ITER = 50  # the oracle sectors converge in about 20
+_DAVIDSON_TOL = 1e-12  # residual norm |H x - theta x|, times max(1, |theta|)
+_DAVIDSON_MIN_GAP = 1e-3  # hartree; a closer second eigenvalue is near-degenerate
 
 
 @dataclass(frozen=True)
@@ -208,6 +215,73 @@ def _excitation_elements(occupied, occ, i, j, n_diff, t, v) -> np.ndarray:
     return sign * (direct - exchange)
 
 
+def _lowest_eigenpair(h: np.ndarray) -> tuple[float, np.ndarray]:
+    """Lowest eigenvalue and unit eigenvector of the dense symmetric matrix ``h``.
+
+    Sectors of at least ``_DAVIDSON_MIN_DETERMINANTS`` run :func:`_davidson`;
+    smaller ones, and every sector where the loop gives up, take the lowest
+    pair of a full ``eigh``.
+    """
+    if h.shape[0] >= _DAVIDSON_MIN_DETERMINANTS:
+        pair = _davidson(h)
+        if pair is not None:
+            return pair
+    eigvals, eigvecs = np.linalg.eigh(h)
+    return float(eigvals[0]), eigvecs[:, 0]
+
+
+def _davidson(h: np.ndarray):
+    """Certified lowest eigenpair by Davidson's method, or None to fall back.
+
+    E. R. Davidson, J. Comput. Phys. 17, 87 (1975): the subspace starts from
+    the lowest diagonal determinant and grows by the diagonally preconditioned
+    residual, orthogonalized in two Gram-Schmidt passes.  H and the
+    preconditioner both keep spatial parity and spin flip, so the loop never
+    leaves its start vector's symmetry sector: it may converge to a higher
+    eigenvalue, and its Ritz values cannot see a degenerate partner from
+    another sector.  A converged pair (theta, x) is therefore accepted only if
+    H + s x x^T - (theta + gap) I has a Cholesky factor (s > gap).  On the
+    complement of x that matrix equals H - (theta + gap) I, so by
+    Courant-Fischer the second eigenvalue of H lies above theta + gap; the
+    eigenvalue within |H x - theta x| of theta is then the lowest, and it is
+    separated from the rest by at least ``_DAVIDSON_MIN_GAP``, so x is unique.
+    None when the loop does not converge within ``_DAVIDSON_MAX_ITER``
+    iterations or when the certificate fails.
+    """
+    n = h.shape[0]
+    diag = np.diagonal(h)
+    basis = np.zeros((n, _DAVIDSON_MAX_ITER))
+    images = np.zeros_like(basis)  # h @ basis
+    basis[np.argmin(diag), 0] = 1.0
+    for m in range(1, _DAVIDSON_MAX_ITER + 1):
+        images[:, m - 1] = h @ basis[:, m - 1]
+        ritz, vectors = np.linalg.eigh(basis[:, :m].T @ images[:, :m])
+        theta, x = ritz[0], basis[:, :m] @ vectors[:, 0]
+        scale = max(1.0, abs(theta))
+        residual = images[:, :m] @ vectors[:, 0] - theta * x
+        if np.linalg.norm(residual) < _DAVIDSON_TOL * scale:
+            break
+        if m == _DAVIDSON_MAX_ITER:
+            return None
+        # the start vector stays in the subspace, so theta never exceeds the
+        # smallest diagonal element; the preconditioner is then positive
+        # definite, and the step keeps a part outside the subspace, since its
+        # overlap with the residual (orthogonal to the subspace) is positive
+        step = residual / np.maximum(diag - theta, 1e-8)
+        for _ in range(2):
+            step -= basis[:, :m] @ (basis[:, :m].T @ step)
+        basis[:, m] = step / np.linalg.norm(step)
+    x /= np.linalg.norm(x)
+    deflated = np.outer(x, scale * x)  # lifts theta by scale > gap
+    deflated += h
+    deflated[np.diag_indices(n)] -= theta + _DAVIDSON_MIN_GAP
+    try:
+        np.linalg.cholesky(deflated)
+    except np.linalg.LinAlgError:
+        return None
+    return float(theta), x
+
+
 def full_ci_ground_state(
     system: ModelSystem,
     orbital_cutoff: int,
@@ -215,12 +289,15 @@ def full_ci_ground_state(
 ) -> tuple[float, NBodyWavefunction]:
     """Lowest eigenpair of the exact N-body Hamiltonian in the truncated orbital set.
 
-    The energy is variational: it can only decrease when ``orbital_cutoff``
-    grows.  Only determinants of total spin projection ``sz`` enter (e.g.
-    ``sz=1.0`` for two aligned electrons).  The default is the lowest-|Sz|
-    sector, 0 for even N and +1/2 for odd N, which holds the exact ground
-    state: H does not act on spin, so it commutes with S+ and S-, and every
-    spin multiplet has a member there.
+    The pair comes from :func:`_lowest_eigenpair`: a certified Davidson loop
+    on sectors of at least ``_DAVIDSON_MIN_DETERMINANTS`` determinants, a full
+    ``eigh`` below that or wherever the loop gives up.  The overall sign makes
+    the largest-magnitude coefficient positive.  The energy is variational: it
+    can only decrease when ``orbital_cutoff`` grows.  Only determinants of
+    total spin projection ``sz`` enter (e.g. ``sz=1.0`` for two aligned
+    electrons).  The default is the lowest-|Sz| sector, 0 for even N and +1/2
+    for odd N, which holds the exact ground state: H does not act on spin, so
+    it commutes with S+ and S-, and every spin multiplet has a member there.
     """
     n = system.n_electrons
     if n > _MAX_ELECTRONS:
@@ -240,9 +317,7 @@ def full_ci_ground_state(
         raise ValueError("no determinants satisfy the requested spin projection")
     t = one_body_integrals(basis, system)
     v = two_body_integrals(basis, system.interaction_kernel)
-    h_ci = ci_hamiltonian(dets, t, v)
-    eigvals, eigvecs = np.linalg.eigh(h_ci)
-    coeff = eigvecs[:, 0]
+    energy, coeff = _lowest_eigenpair(ci_hamiltonian(dets, t, v))
     # fix the overall phase for reproducibility
     pivot = int(np.argmax(np.abs(coeff)))
     if coeff[pivot] < 0:
@@ -254,7 +329,7 @@ def full_ci_ground_state(
         basis=basis,
         sz=float(sz),
     )
-    return float(eigvals[0]), state
+    return energy, state
 
 
 def exact_reduced_density_matrix(state: NBodyWavefunction, order: int) -> DensityMatrix:

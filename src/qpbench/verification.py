@@ -202,11 +202,51 @@ def check_variational_ordering() -> CheckResult:
     )
 
 
+def _band0_expectations(system, bands) -> np.ndarray:
+    """<psi_0(k)| h(k) + J - K |psi_0(k)> at every momentum, from the pair kernel.
+
+    J and K are rebuilt here from each momentum's occupied orbitals with plain
+    einsum, never from the SCF's Fock parts: J(x) = w sum_y v(x, y) n(y) and
+    K(x, y) = w v(x, y) gamma(x, y), with gamma the same-spin kernel and
+    n = occupation * gamma(x, x).  Orbitals are quadrature-normalized.
+    """
+    w = system.grid.spacing
+    v = system.interaction_kernel
+    occupation = bands.occupations[0]
+    expectations = []
+    for k, res in zip(bands.kgrid, bands.scf_results):
+        occ = res.orbitals[:, : res.n_occupied]
+        psi = occ[:, 0]
+        h = core_hamiltonian(system, float(k))
+        density = occupation * np.einsum("xn,xn->x", occ, occ.conj()).real
+        hartree = w * np.einsum("xy,y->x", v, density)
+        one_body = w * np.einsum("x,xy,y->", psi.conj(), h, psi)
+        coulomb = w * np.einsum("x,x,x->", psi.conj(), hartree, psi)
+        exchange = w * w * np.einsum("x,xy,xn,yn,y->", psi.conj(), v, occ, occ.conj(), psi)
+        expectations.append(np.real(one_body + coulomb - exchange))
+    return np.array(expectations)
+
+
 def check_trace_identity() -> CheckResult:
-    """Band-averaged trace identity on the 2-electron crystal, 8 momenta."""
+    """Band-averaged trace identity on the 2-electron crystal, 8 momenta.
+
+    ``band_trace_residual`` reads the SCF's own Fock parts, so a wrong mean
+    field would still pass it; the band-0 expectation of h + J - K, with J and
+    K rebuilt from the orbitals, must also equal each momentum's eigenvalue.
+    """
     system, bands = _crystal_bands()
     residual = band_trace_residual(bands, 2, system.grid.spacing)
-    return _result("trace_energy_identity", residual, 1e-8)
+    result = _result("trace_energy_identity", residual, 1e-8)
+    independent = float(np.max(np.abs(_band0_expectations(system, bands) - bands.bands[0])))
+    independent_tol = 1e-10
+    return replace(
+        result,
+        passed=result.passed and independent <= independent_tol,
+        detail=(
+            f"{result.detail}; max |<psi0|h + J - K|psi0> - e0(k)| from the pair "
+            f"kernel {independent:.3e} (tol {independent_tol:.1e})"
+        ),
+    )
 
 
 def _dyson_fixture():

@@ -48,3 +48,20 @@ def test_band_symmetry_catches_a_corrupted_minus_k_fill(monkeypatch):
     result = verification.check_band_symmetry()
     assert not result.passed
     assert result.measured == pytest.approx(1e-6, rel=1e-3)
+
+
+def test_trace_identity_catches_a_mean_field_without_exchange(monkeypatch):
+    # the SCF's own Fock parts agree with its eigenvalues whatever the mean
+    # field is; the J - K that the check rebuilds from the orbitals does not
+    real_mean_field = hartree_fock._mean_field
+
+    def without_exchange(system, h, density, kernel):
+        hartree, exchange, total = real_mean_field(system, h, density, kernel)
+        total += exchange
+        exchange[...] = 0.0
+        return hartree, exchange, total
+
+    monkeypatch.setattr(hartree_fock, "_mean_field", without_exchange)
+    result = verification.check_trace_identity()
+    assert not result.passed
+    assert result.measured < result.tolerance  # the Fock-part route alone passes

@@ -6,6 +6,7 @@ import pytest
 
 from qpbench import many_body
 from qpbench.many_body import (
+    NBodyWavefunction,
     ci_hamiltonian,
     enumerate_determinants,
     exact_reduced_density_matrix,
@@ -205,6 +206,160 @@ class TestSlaterCondonAgainstDenseHamiltonian:
         whole = ci_hamiltonian(dets, t, v)
         monkeypatch.setattr(many_body, "_PAIR_BLOCK", 97)
         assert np.array_equal(ci_hamiltonian(dets, t, v), whole)
+
+
+def eigh_pair(h):
+    """Reference lowest eigenpair, signed by the oracle's phase rule."""
+    eigvals, eigvecs = np.linalg.eigh(h)
+    vec = eigvecs[:, 0]
+    return eigvals[0], vec if vec[np.argmax(np.abs(vec))] > 0 else -vec
+
+
+def sector_hamiltonian(system, cutoff):
+    n = system.n_electrons
+    dets = enumerate_determinants(2 * cutoff, n, sz=0.5 * (n % 2))
+    return dets, ci_hamiltonian(dets, *integrals(system, cutoff))
+
+
+@pytest.fixture
+def davidson_spy(monkeypatch):
+    """Record what each ``_davidson`` call returns: a pair, or None on fallback."""
+    returned = []
+    inner = many_body._davidson
+
+    def spy(h):
+        returned.append(inner(h))
+        return returned[-1]
+
+    monkeypatch.setattr(many_body, "_davidson", spy)
+    return returned
+
+
+def symmetric_with_spectrum(levels, seed):
+    """Q diag(levels) Q^T for a random orthogonal Q near the identity."""
+    rng = np.random.default_rng(seed)
+    n = len(levels)
+    q, r = np.linalg.qr(np.eye(n) + 0.05 * rng.normal(size=(n, n)))
+    q *= np.sign(np.diag(r))
+    h = (q * np.asarray(levels)) @ q.T
+    return 0.5 * (h + h.T)
+
+
+class TestLowestEigenpair:
+    def test_other_symmetry_block_is_caught_by_the_certificate(self, davidson_spy):
+        # The lowest diagonal element sits in block a, the lowest eigenvalue in
+        # block b.  A diagonal preconditioner never couples the blocks, so the
+        # loop converges inside block a; only the certificate can tell.
+        n = many_body._DAVIDSON_MIN_DETERMINANTS
+        rng = np.random.default_rng(3)
+
+        def block(low):
+            c = 0.01 * rng.normal(size=(n, n))
+            return np.diag(np.linspace(low, low + 5.0, n)) + 0.5 * (c + c.T)
+
+        a, b = block(0.0), block(0.5) - 0.02
+        h = np.zeros((2 * n, 2 * n))
+        h[:n, :n], h[n:, n:] = a, b
+        assert np.argmin(np.diag(h)) < n
+        assert np.linalg.eigvalsh(b)[0] < np.linalg.eigvalsh(a)[0] - 0.3
+        energy, vec = many_body._lowest_eigenpair(h)
+        assert davidson_spy == [None]
+        ref_energy, ref_vec = eigh_pair(h)
+        assert energy == ref_energy
+        assert abs(vec @ ref_vec) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-4])
+    def test_degenerate_lowest_pair_falls_back_to_eigh(self, gap, davidson_spy):
+        n = many_body._DAVIDSON_MIN_DETERMINANTS + 72
+        levels = np.concatenate([[-1.0, -1.0 + gap], np.linspace(0.0, 5.0, n - 2)])
+        h = symmetric_with_spectrum(levels, seed=5)
+        energy, vec = many_body._lowest_eigenpair(h)
+        assert davidson_spy == [None]
+        eigvals, eigvecs = np.linalg.eigh(h)
+        assert energy == eigvals[0]
+        assert np.array_equal(vec, eigvecs[:, 0])
+
+    def test_separated_lowest_pair_is_accepted(self, davidson_spy):
+        n = many_body._DAVIDSON_MIN_DETERMINANTS + 72
+        levels = np.concatenate([[-1.0, -0.99], np.linspace(0.0, 5.0, n - 2)])
+        h = symmetric_with_spectrum(levels, seed=5)
+        energy, vec = many_body._lowest_eigenpair(h)
+        assert davidson_spy[0] is not None
+        ref_energy, ref_vec = eigh_pair(h)
+        assert energy == pytest.approx(ref_energy, abs=1e-12)
+        assert abs(vec @ ref_vec) == pytest.approx(1.0, abs=1e-12)
+
+    def test_iteration_cap_falls_back_to_eigh(self, monkeypatch, davidson_spy):
+        system = build_soft_coulomb_system((12, 0.5), 2.0, 1.0, 2, BOX)
+        _, h = sector_hamiltonian(system, 12)  # 144 determinants
+        monkeypatch.setattr(many_body, "_DAVIDSON_MAX_ITER", 1)
+        energy, vec = many_body._lowest_eigenpair(h)
+        assert davidson_spy == [None]
+        eigvals, eigvecs = np.linalg.eigh(h)
+        assert energy == eigvals[0]
+        assert np.array_equal(vec, eigvecs[:, 0])
+
+    def test_odd_electron_sector_matches_eigh(self, davidson_spy):
+        system = build_soft_coulomb_system((16, 0.5), 2.0, 1.0, 3, BOX)
+        dets, h = sector_hamiltonian(system, 8)
+        assert len(dets) == 224
+        energy, state = full_ci_ground_state(system, orbital_cutoff=8)
+        assert davidson_spy[0] is not None
+        assert state.sz == 0.5
+        ref_energy, ref_vec = eigh_pair(h)
+        assert energy == pytest.approx(ref_energy, abs=1e-12)
+        assert abs(np.vdot(state.coefficients, ref_vec)) >= 1.0 - 1e-12
+
+    def test_small_sectors_never_enter_the_loop(self, davidson_spy):
+        cutoff = many_body._DAVIDSON_MIN_DETERMINANTS
+        rng = np.random.default_rng(0)
+        for n in (cutoff - 1, cutoff):
+            h = np.diag(np.arange(n, dtype=float)) + 1e-3 * rng.normal(size=(n, n))
+            many_body._lowest_eigenpair(0.5 * (h + h.T))
+        assert len(davidson_spy) == 1
+        # the largest benchmark sweep sectors hold 100 determinants
+        for n_elec, orbitals in ((2, 10), (4, 5)):
+            system = build_soft_coulomb_system((12, 0.5), 2.0, 1.0, n_elec, BOX)
+            _, state = full_ci_ground_state(system, orbital_cutoff=orbitals)
+            assert len(state.determinants) == 100
+        assert len(davidson_spy) == 1
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(0.5, 2.0, 1.0), (0.45, 2.2, 0.9), (0.55, 1.8, 1.1)],
+    ids=["default", "deep", "shallow"],
+)
+def oracle_shape(request):
+    """The benchmark oracle shape: 16 points, N = 4, cutoff 8 (784 determinants)."""
+    spacing, depth, softening = request.param
+    system = build_soft_coulomb_system((16, spacing), depth, softening, 4, BOX)
+    return system, *sector_hamiltonian(system, 8)
+
+
+class TestOracleShapeRegression:
+    def test_matches_eigh_reference(self, oracle_shape, davidson_spy):
+        system, dets, h = oracle_shape
+        assert len(dets) == 784
+        energy, state = full_ci_ground_state(system, orbital_cutoff=8)
+        assert davidson_spy[0] is not None
+        ref_energy, ref_vec = eigh_pair(h)
+        reference = NBodyWavefunction(
+            n_electrons=4,
+            determinants=dets,
+            coefficients=ref_vec.astype(complex),
+            basis=state.basis,
+            sz=0.0,
+        )
+        assert energy == pytest.approx(ref_energy, abs=1e-12)
+        assert np.max(np.abs(state.coefficients - reference.coefficients)) < 1e-10
+        assert np.max(
+            np.abs(natural_occupations(state) - natural_occupations(reference))
+        ) < 1e-12
+        for order in (1, 2):
+            trace = exact_reduced_density_matrix(state, order).trace()
+            ref_trace = exact_reduced_density_matrix(reference, order).trace()
+            assert trace == pytest.approx(ref_trace, abs=1e-12)
 
 
 class TestSpinSector:
