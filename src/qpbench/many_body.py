@@ -3,9 +3,14 @@
 Full configuration interaction over the lowest one-body orbitals, used as the
 ground-truth oracle for density matrices, energies and mean-field comparisons.
 Spin is bookkept through explicit spin-orbital indices (even = up, odd = down)
-so antisymmetry checks stay direct.  The dense CI matrix of a sector is built
-in full; its lowest eigenpair comes from a Davidson loop whose eigenvalue is
-certified by a Cholesky factorization, with a full ``eigh`` as the fallback.
+so antisymmetry checks stay direct.  A determinant with fixed Sz factors into
+an alpha string and a beta string (the sorted spatial orbitals of each spin).
+The dense CI matrix of a sector is built in that string-product basis from
+single-replacement string operators and mapped back to the determinants, each
+taking the sign of reordering its interleaved spin orbitals into
+alpha-then-beta order.  Its lowest eigenpair comes from a Davidson loop whose
+eigenvalue is certified by a Cholesky factorization, with a full ``eigh`` as
+the fallback.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +33,6 @@ from .model_system import ModelSystem, core_hamiltonian
 
 _MAX_ELECTRONS = 4
 _MAX_DETERMINANTS = 20_000
-# determinant pairs per row block of the CI build, bounding its intermediates
-_PAIR_BLOCK = 1 << 20
 # Davidson settings for the lowest CI eigenpair (see _lowest_eigenpair)
 _DAVIDSON_MIN_DETERMINANTS = 128  # below this a full eigh is as fast
 _DAVIDSON_MAX_ITER = 50  # the oracle sectors converge in about 20
@@ -133,86 +137,176 @@ def one_body_integrals(basis: OrbitalBasis, system: ModelSystem) -> np.ndarray:
 
 
 def enumerate_determinants(n_spin_orbitals: int, n_electrons: int, sz: float | None = None):
-    """Sorted spin-orbital tuples; optionally restricted to total Sz."""
-    dets = []
-    for det in itertools.combinations(range(n_spin_orbitals), n_electrons):
-        if sz is not None:
-            total = sum(0.5 if p % 2 == 0 else -0.5 for p in det)
-            if abs(total - sz) > 1e-12:
-                continue
-        dets.append(det)
-    return tuple(dets)
+    """Sorted spin-orbital tuples in lexicographic order; optionally restricted to total Sz.
+
+    A fixed-Sz sector is the product of its alpha and beta strings, sorted; the
+    other sectors of the full space are never visited.
+    """
+    if sz is None:
+        return tuple(itertools.combinations(range(n_spin_orbitals), n_electrons))
+    n_up = round(0.5 * n_electrons + sz)
+    if not 0 <= n_up <= n_electrons or abs(n_up - 0.5 * n_electrons - sz) > 1e-12:
+        return ()
+    up = 2 * _strings((n_spin_orbitals + 1) // 2, n_up)
+    down = 2 * _strings(n_spin_orbitals // 2, n_electrons - n_up) + 1
+    dets = np.concatenate(
+        [np.repeat(up, len(down), axis=0), np.tile(down, (len(up), 1))], axis=1
+    )
+    dets.sort(axis=1)
+    return tuple(sorted(map(tuple, dets.tolist())))
+
+
+def _strings(m: int, n: int) -> np.ndarray:
+    """The C(m, n) occupation strings of n same-spin electrons in m orbitals.
+
+    Rows hold ascending orbital indices, in lexicographic order, so row I is
+    the string of rank I (see :func:`_string_rank`).
+    """
+    combos = list(itertools.combinations(range(m), n))
+    return np.array(combos, dtype=np.intp).reshape(len(combos), n)
+
+
+def _string_rank(strings: np.ndarray, m: int) -> np.ndarray:
+    """Lexicographic rank of each row of ascending orbital indices among C(m, n).
+
+    Reflecting c -> m - 1 - c turns lexicographic into colexicographic order,
+    whose rank is the combinatorial number sum_p C(m - 1 - c_p, n - p).
+    """
+    n = strings.shape[-1]
+    binom = np.array([[math.comb(x, y) for y in range(n + 1)] for x in range(m)], dtype=np.intp)
+    return math.comb(m, n) - 1 - binom[m - 1 - strings, n - np.arange(n)].sum(axis=-1)
+
+
+class _StringOperators(NamedTuple):
+    """Every nonzero <I|a+_i a_k|J> between strings of n same-spin electrons.
+
+    Row J lists the n (m - n + 1) replacements of an occupied k by an empty
+    i or by k itself; ``target`` is the rank of the resulting string I.
+    """
+
+    target: np.ndarray
+    create: np.ndarray  # i
+    annihilate: np.ndarray  # k
+    sign: np.ndarray  # +1.0 or -1.0
+
+
+def _string_operators(m: int, n: int) -> _StringOperators:
+    strings = _strings(m, n)
+    count = len(strings)
+    occ = np.zeros((count, m), dtype=bool)
+    occ[np.arange(count)[:, None], strings] = True
+    below = np.cumsum(occ, axis=1) - occ  # occupied orbitals below each orbital
+    allowed = ~occ[:, None, :] | (np.arange(m) == strings[:, :, None])
+    source, pos, create = np.nonzero(allowed)  # row-major: grouped by source
+    annihilate = strings[source, pos]
+    replaced = strings[source]
+    replaced[np.arange(source.size), pos] = create
+    replaced.sort(axis=1)
+    # a_k passes the pos orbitals below k; a+_i then passes those below i but k
+    parity = pos + below[source, create] - (annihilate < create)
+    shape = (count, n * (m - n + 1))
+    return _StringOperators(
+        target=_string_rank(replaced, m).reshape(shape),
+        create=create.reshape(shape),
+        annihilate=annihilate.reshape(shape),
+        sign=(1.0 - 2.0 * (parity & 1)).reshape(shape),
+    )
+
+
+def _same_spin_hamiltonian(ops: _StringOperators, n: int, t: np.ndarray, v: np.ndarray):
+    """H_s = sum t_ik E_ik + 1/2 sum v_ijkl E_ik E_jl - 1/2 sum v_ijjl E_il on one spin's strings.
+
+    The last two terms are the same-spin pair interaction a+_i a+_j a_l a_k;
+    for a single electron they cancel exactly and are skipped.
+    """
+    count = ops.target.shape[0]
+    source = np.arange(count)[:, None]
+    t_eff = t if n < 2 else t - 0.5 * np.einsum("ijjl->il", v)
+    h = np.bincount(
+        (ops.target * count + source).ravel(),
+        weights=(ops.sign * t_eff[ops.create, ops.annihilate]).ravel(),
+        minlength=count * count,
+    )
+    if n >= 2:
+        # (E_ik E_jl)[I, K] summed over the intermediate string J: E_ik[I, J] is
+        # an entry of row J, and E_jl[J, K] = E_lj[K, J] is another, read backwards
+        i, k, sign = ops.create, ops.annihilate, ops.sign
+        pair = v[i[:, :, None], k[:, None, :], k[:, :, None], i[:, None, :]]
+        pair *= 0.5 * sign[:, :, None] * sign[:, None, :]
+        flat = ops.target[:, :, None] * count + ops.target[:, None, :]
+        h += np.bincount(flat.ravel(), weights=pair.ravel(), minlength=count * count)
+    return h.reshape(count, count)
+
+
+def _excitation_matrix(ops: _StringOperators, m: int) -> np.ndarray:
+    """Dense E[(I, J), (i, k)] = <I|a+_i a_k|J> over string pairs and orbital pairs."""
+    count = ops.target.shape[0]
+    e = np.zeros((count * count, m * m))
+    e[ops.target * count + np.arange(count)[:, None], ops.create * m + ops.annihilate] = ops.sign
+    return e
 
 
 def ci_hamiltonian(dets, t: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Dense CI matrix over sorted spin-orbital determinants (Slater-Condon rules).
+    """Dense CI matrix <D_i|H|D_j> over sorted spin-orbital determinants, in their order.
 
-    Pairs are classed by how many spin orbitals they differ in (0, 1 or 2;
-    more gives zero).  The spin-orbital integrals of each class are gathered
-    from the spatial ``t`` and ``v`` with spin masks, and each sign comes from
-    the positions of the differing orbitals in their sorted determinants, i.e.
-    the number of occupied orbitals below them.  Only the upper triangle is
-    evaluated, in row blocks, and mirrored.
+    Each Sz sector is built in the product basis of its alpha and beta
+    strings (Knowles & Handy, Chem. Phys. Lett. 111, 315 (1984); Olsen et al.,
+    J. Chem. Phys. 89, 2185 (1988)):
+
+        H = H_a x 1 + 1 x H_b + sum_ijkl v_ijkl E^a_ik x E^b_jl,
+
+    with E_ik = <I|a+_i a_k|J> a string matrix and H_a, H_b the same-spin
+    Hamiltonians of :func:`_same_spin_hamiltonian`.  The opposite-spin sum is
+    one GEMM, (a^2 x m^2)(m^2 x m^2)(m^2 x b^2) for a alpha and b beta strings
+    over m orbitals.  A determinant lists its spin orbitals interleaved (even
+    = up); reordering them into alpha-then-beta order passes every beta
+    orbital below each alpha orbital, so each determinant carries the sign
+    (-1)^(number of such pairs).  Elements between sectors are zero.
     """
     n_det = len(dets)
-    h = np.zeros((n_det, n_det))
     if n_det == 0:
-        return h
+        return np.zeros((0, 0))
     occupied = np.array(dets, dtype=np.intp).reshape(n_det, -1)
-    n = occupied.shape[1]
-    n_so = 2 * t.shape[0]
-    occ = np.zeros((n_det, n_so), dtype=bool)
-    occ[np.arange(n_det)[:, None], occupied] = True
-    occ_f = occ.astype(float)
-    spatial, spin = occupied >> 1, occupied & 1
-
-    diag = t[spatial, spatial].sum(axis=1)
-    for a, b in itertools.combinations(range(n), 2):
-        pa, pb = spatial[:, a], spatial[:, b]
-        diag += v[pa, pb, pa, pb] - (spin[:, a] == spin[:, b]) * v[pa, pb, pb, pa]
-    h[np.diag_indices(n_det)] = diag
-
-    rows_per_block = max(1, _PAIR_BLOCK // n_det)
-    for start in range(0, n_det, rows_per_block):
-        stop = min(start + rows_per_block, n_det)
-        shared = occ_f[start:stop] @ occ_f[start:].T
-        upper = np.arange(start, stop)[:, None] < np.arange(start, n_det)[None, :]
-        for n_diff in (1, 2):
-            i, j = np.nonzero(upper & (shared == n - n_diff))
-            i += start
-            j += start
-            h[i, j] = h[j, i] = _excitation_elements(occupied, occ, i, j, n_diff, t, v)
+    n, m = occupied.shape[1], t.shape[0]
+    n_up = np.count_nonzero(occupied & 1 == 0, axis=1)
+    sectors = sorted(set(n_up.tolist()))
+    ops = {k: _string_operators(m, k) for k in {*sectors, *(n - s for s in sectors)}}
+    same = {k: _same_spin_hamiltonian(ops[k], k, t, v) for k in ops}
+    if len(sectors) == 1:
+        return _sector_hamiltonian(occupied, ops, same, v)
+    h = np.zeros((n_det, n_det))
+    for k in sectors:
+        rows = np.flatnonzero(n_up == k)
+        h[np.ix_(rows, rows)] = _sector_hamiltonian(occupied[rows], ops, same, v)
     return h
 
 
-def _excitation_elements(occupied, occ, i, j, n_diff, t, v) -> np.ndarray:
-    """<D_i|H|D_j> for pairs that differ in exactly ``n_diff`` spin orbitals."""
-    n_pairs = i.size
-    n = occupied.shape[1]
-    d_i, d_j = occupied[i], occupied[j]
-    kept_i = occ[j[:, None], d_i]  # which orbitals of D_i also sit in D_j
-    kept_j = occ[i[:, None], d_j]
-    # positions within the sorted determinants = occupied orbitals below them
-    pos_i = np.nonzero(~kept_i)[1].reshape(n_pairs, n_diff)
-    pos_j = np.nonzero(~kept_j)[1].reshape(n_pairs, n_diff)
-    rows = np.arange(n_pairs)[:, None]
-    p, q = d_i[rows, pos_i], d_j[rows, pos_j]
-    sign = 1.0 - 2.0 * ((pos_i.sum(axis=1) + pos_j.sum(axis=1)) & 1)
-    if n_diff == 1:
-        p, q = p[:, 0], q[:, 0]
-        common = d_i[kept_i].reshape(n_pairs, n - 1)
-        P, Q, K = p >> 1, q >> 1, common >> 1
-        coulomb = v[P[:, None], K, Q[:, None], K].sum(axis=1)
-        parallel = (common & 1) == (p & 1)[:, None]
-        exchange = (parallel * v[P[:, None], K, K, Q[:, None]]).sum(axis=1)
-        # every term needs p and q to carry the same spin
-        return sign * ((p & 1) == (q & 1)) * (t[P, Q] + coulomb - exchange)
-    p1, p2, q1, q2 = p[:, 0], p[:, 1], q[:, 0], q[:, 1]
-    s1, s2, r1, r2 = p1 & 1, p2 & 1, q1 & 1, q2 & 1
-    P1, P2, Q1, Q2 = p1 >> 1, p2 >> 1, q1 >> 1, q2 >> 1
-    direct = ((s1 == r1) & (s2 == r2)) * v[P1, P2, Q1, Q2]
-    exchange = ((s1 == r2) & (s2 == r1)) * v[P1, P2, Q2, Q1]
-    return sign * (direct - exchange)
+def _sector_hamiltonian(occupied, ops, same, v) -> np.ndarray:
+    """The CI matrix of determinants that share one Sz sector, in their order."""
+    n_det, n = occupied.shape
+    m = v.shape[0]
+    up = occupied & 1 == 0
+    n_a = int(np.count_nonzero(up[0]))
+    n_b = n - n_a
+    alpha = (occupied[up] >> 1).reshape(n_det, n_a)
+    beta = (occupied[~up] >> 1).reshape(n_det, n_b)
+    a, b = same[n_a].shape[0], same[n_b].shape[0]
+    if n_a and n_b:
+        e_a = _excitation_matrix(ops[n_a], m)
+        e_b = e_a if n_b == n_a else _excitation_matrix(ops[n_b], m)
+        pair_v = v.transpose(0, 2, 1, 3).reshape(m * m, m * m)  # [(i, k), (j, l)]
+        string_h = (e_a @ pair_v) @ e_b.T  # [(I_a, J_a), (I_b, J_b)]
+    else:
+        string_h = np.zeros((a * a, b * b))
+    string_h[:, :: b + 1] += same[n_a].reshape(-1, 1)
+    string_h[:: a + 1] += same[n_b].reshape(1, -1)
+    i_a, i_b = _string_rank(alpha, m), _string_rank(beta, m)
+    # element (d, e) sits at row (I_a(d), I_a(e)) and column (I_b(d), I_b(e))
+    h = np.take(string_h, (i_a * (a * b * b) + i_b * b)[:, None] + (i_a * (b * b) + i_b))
+    sign = 1.0 - 2.0 * (np.count_nonzero(beta[:, None, :] < alpha[:, :, None], axis=(1, 2)) & 1)
+    h *= sign[:, None]
+    h *= sign
+    return h
 
 
 def _lowest_eigenpair(h: np.ndarray) -> tuple[float, np.ndarray]:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,12 +154,30 @@ def integrals(system, cutoff):
     )
 
 
+class TestDeterminantEnumeration:
+    def test_sector_matches_full_space_filter(self):
+        # the reference walks every combination and keeps the requested Sz
+        for cutoff in range(1, 7):
+            for n_elec in range(5):
+                full = list(itertools.combinations(range(2 * cutoff), n_elec))
+                for two_sz in range(-n_elec - 2, n_elec + 3):
+                    sz = 0.5 * two_sz
+                    expect = tuple(
+                        det
+                        for det in full
+                        if sum(0.5 if p % 2 == 0 else -0.5 for p in det) == sz
+                    )
+                    assert enumerate_determinants(2 * cutoff, n_elec, sz=sz) == expect
+
+
 class TestSlaterCondonAgainstDenseHamiltonian:
     def test_matrix_elements_match_first_quantized_route(self):
         # independent oracle: apply H on the full ordered-tuple space and
         # sandwich it between explicitly antisymmetrized amplitude tensors.
-        # N = 3 checks the single-excitation sign with spectator electrons.
-        for n_elec, sz in ((2, None), (3, 0.5)):
+        # N = 3 checks the single-excitation sign with spectator electrons;
+        # N = 4 puts two electrons of each spin behind the alpha/beta reordering
+        # sign and the same-spin pair term of the string build.
+        for n_elec, sz in ((2, None), (3, 0.5), (4, None), (4, 0.0)):
             system = build_soft_coulomb_system((10, 0.5), 1.5, 1.0, n_elec, BOX)
             t, v = integrals(system, 3)
             t_so, v_so = spin_orbital_integrals(t, v)
@@ -199,13 +218,17 @@ class TestSlaterCondonAgainstDenseHamiltonian:
             expect = loop_hamiltonian(dets, t, v)
             assert np.max(np.abs(ci_hamiltonian(dets, t, v) - expect)) < 1e-13
 
-    def test_row_blocks_do_not_change_the_matrix(self, monkeypatch):
+    def test_mixed_sz_list_is_block_diagonal(self):
         system = build_soft_coulomb_system((12, 0.5), 2.0, 1.0, 4, BOX)
         t, v = integrals(system, 5)
         dets = enumerate_determinants(10, 4)
         whole = ci_hamiltonian(dets, t, v)
-        monkeypatch.setattr(many_body, "_PAIR_BLOCK", 97)
-        assert np.array_equal(ci_hamiltonian(dets, t, v), whole)
+        sz = np.array([sum(0.5 if p % 2 == 0 else -0.5 for p in det) for det in dets])
+        for value in np.unique(sz):
+            rows = np.flatnonzero(sz == value)
+            block = ci_hamiltonian([dets[r] for r in rows], t, v)
+            assert np.array_equal(whole[np.ix_(rows, rows)], block)
+        assert np.all(whole[sz[:, None] != sz[None, :]] == 0.0)
 
 
 def eigh_pair(h):
@@ -360,6 +383,22 @@ class TestOracleShapeRegression:
             trace = exact_reduced_density_matrix(state, order).trace()
             ref_trace = exact_reduced_density_matrix(reference, order).trace()
             assert trace == pytest.approx(ref_trace, abs=1e-12)
+
+    def test_build_memory_stays_within_a_few_matrices(self):
+        # tracemalloc sees numpy's buffers; the build peaks near 3.1 matrices
+        # here, the result included (string products, index map and output)
+        system = build_soft_coulomb_system((16, 0.5), 2.0, 1.0, 4, BOX)
+        t, v = integrals(system, 8)
+        dets = enumerate_determinants(16, 4, sz=0.0)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            h = ci_hamiltonian(dets, t, v)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert h.shape == (784, 784)
+        assert peak < 4.0 * h.nbytes
 
 
 class TestSpinSector:
