@@ -8,7 +8,12 @@ always applied as a full nonlocal matrix.
 One SCF loop serves every caller.  It iterates a stack of momenta in lockstep
 (a band structure passes its momenta k > 0, :func:`scf_solve` one momentum),
 accelerated by Pulay DIIS on the commutator error [F, gamma] (Pulay, Chem.
-Phys. Lett. 73, 393 (1980); J. Comput. Chem. 3, 556 (1982)).
+Phys. Lett. 73, 393 (1980); J. Comput. Chem. 3, 556 (1982)).  Each DIIS step
+needs only the occupied orbitals of the extrapolated operator.  With one
+occupied orbital on a grid of at least ``_LOWEST_ORBITAL_MIN_POINTS`` points,
+:func:`_lowest_orbital` finds it by Rayleigh-quotient iteration from the
+previous iterate and certifies it by one Cholesky factorization; every other
+eigensolve, and every momentum the certificate rejects, is a full ``eigh``.
 
 The external potential and the interaction are real, so H(-k) = H(k)*: a
 band structure solves only k >= 0 and fills each -k result by complex
@@ -25,6 +30,10 @@ from .model_system import PERIODIC, ModelSystem, core_hamiltonian
 
 _DIIS_SIZE = 8  # error vectors kept per momentum
 _DIIS_MAX_COND = 1e12  # oldest vectors are dropped above this condition number
+# Rayleigh-quotient route for the one occupied orbital (see _lowest_orbital)
+_LOWEST_ORBITAL_MIN_POINTS = 48  # below this grid size a full eigh is as fast
+_LOWEST_ORBITAL_MAX_SOLVES = 8  # shifted solves per momentum; one to three suffice
+_LOWEST_ORBITAL_MIN_GAP = 1e-3  # hartree; a closer second eigenvalue is near-degenerate
 
 
 @dataclass(frozen=True)
@@ -161,6 +170,83 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     else:
         vectors *= np.where(val < 0, -1.0, 1.0)
     return vectors
+
+
+def _gap_certified(f: np.ndarray, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Whether F + s x x^H - (theta + gap) I has a Cholesky factor, per momentum.
+
+    s = max(1, |theta|) > gap.  On the complement of a unit eigenvector x that
+    matrix is F - (theta + gap) I, so a factor proves by Courant-Fischer that
+    the second eigenvalue of F lies above theta + gap; the eigenvalue within
+    |F x - theta x| of theta is then the lowest, and x is its unique
+    eigenvector up to a phase.
+    """
+    s = np.maximum(1.0, np.abs(theta))
+    deflated = x[:, :, None] * (s[:, None] * x.conj())[:, None, :]
+    deflated += f
+    diag = np.arange(f.shape[-1])
+    deflated[:, diag, diag] -= (theta + _LOWEST_ORBITAL_MIN_GAP)[:, None]
+    certified = np.ones(len(f), dtype=bool)
+    try:
+        np.linalg.cholesky(deflated)
+    except np.linalg.LinAlgError:
+        # recheck one momentum at a time; only the indefinite ones fail
+        for i in range(len(f)):
+            try:
+                np.linalg.cholesky(deflated[i])
+            except np.linalg.LinAlgError:
+                certified[i] = False
+    return certified
+
+
+def _lowest_orbital(f: np.ndarray, guess: np.ndarray) -> np.ndarray:
+    """Lowest eigenvector of each Hermitian ``f`` (n, g, g) as phase-fixed unit columns (n, g, 1).
+
+    Batched Rayleigh-quotient iteration (Parlett, The Symmetric Eigenvalue
+    Problem, section 4.6) from ``guess`` (n, g), the previous SCF iterate:
+    theta = x^H F x and r = F x - theta x; a momentum stops once
+    |r| <= 64 eps max|F|, otherwise x <- (F - theta I)^-1 x, normalized.  Only
+    the momenta still iterating stay in the stack, so a momentum's result does
+    not depend on its neighbours.  The iteration converges to whichever
+    eigenvector lies nearest its start, so a result is accepted only if
+    |r| <= 1024 eps max|F| and :func:`_gap_certified` proves theta the lowest
+    eigenvalue, at least ``_LOWEST_ORBITAL_MIN_GAP`` below the next.  A
+    singular shifted solve ends the iteration of the whole stack.  Every
+    momentum not accepted takes the lowest column of a full ``eigh``.
+    """
+    n, g, _ = f.shape
+    eps = np.finfo(float).eps
+    scale = np.max(np.abs(f), axis=(1, 2))
+    x = np.array(guess, dtype=np.result_type(f, guess))
+    x /= np.linalg.norm(x, axis=-1, keepdims=True)
+    theta = np.zeros(n)
+    residual = np.zeros(n)
+    rows = np.arange(n)
+    diag = np.arange(g)
+    for solves in range(_LOWEST_ORBITAL_MAX_SOLVES + 1):
+        xs = x[rows]
+        fx = (f[rows] @ xs[..., None])[..., 0]
+        theta[rows] = np.real(np.sum(xs.conj() * fx, axis=-1))
+        residual[rows] = np.linalg.norm(fx - theta[rows, None] * xs, axis=-1)
+        rows = rows[residual[rows] > 64 * eps * scale[rows]]
+        if rows.size == 0 or solves == _LOWEST_ORBITAL_MAX_SOLVES:
+            break
+        shifted = f[rows]
+        shifted[:, diag, diag] -= theta[rows, None]
+        try:
+            y = np.linalg.solve(shifted, x[rows][..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            break
+        x[rows] = y / np.linalg.norm(y, axis=-1, keepdims=True)
+
+    accepted = residual <= 1024 * eps * scale
+    candidates = np.flatnonzero(accepted)
+    if candidates.size:
+        accepted[candidates] = _gap_certified(f[candidates], theta[candidates], x[candidates])
+    x = x[..., None]
+    if not np.all(accepted):
+        x[~accepted] = np.linalg.eigh(f[~accepted])[1][..., :1]
+    return _fix_phases(x)
 
 
 def hf_total_energy(
@@ -326,10 +412,14 @@ def _scf(
         if np.any(done):
             active, h_active = active[~done], h_active[~done]
         kernel = history.extrapolated_kernel(active, history.coefficients(active))
-        vectors = np.linalg.eigh(fock_of(h_active, kernel)[2])[1]
+        fock = fock_of(h_active, kernel)[2]
         del kernel
-        psi[active] = _fix_phases(vectors[..., :nocc]) / np.sqrt(w)
-        del vectors
+        if nocc == 1 and g >= _LOWEST_ORBITAL_MIN_POINTS:
+            vectors = _lowest_orbital(fock, psi[active, :, 0] * np.sqrt(w))
+        else:
+            vectors = _fix_phases(np.linalg.eigh(fock)[1][..., :nocc])
+        del fock
+        psi[active] = vectors / np.sqrt(w)
 
     # eigenpairs of the un-extrapolated operator at each momentum's last density
     hartree, exchange, total = fock_of(h, psi @ _adjoint(psi))

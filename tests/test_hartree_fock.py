@@ -4,6 +4,7 @@ import pytest
 from qpbench import hartree_fock
 from qpbench.hartree_fock import (
     _fix_phases,
+    _lowest_orbital,
     _PulayHistory,
     band_structure,
     build_fock,
@@ -432,3 +433,120 @@ class TestSolverInternals:
         coeffs = history.coefficients(np.array([0]))
         assert np.allclose(coeffs, [[0.0, 1.0, 0.0, 0.0]])
         assert history.valid.tolist() == [[False, True, False, False]]
+
+
+def _hermitian_stack(spectra, rng):
+    """Complex Hermitian matrices with the given spectra, and their eigenvectors."""
+    mats, vecs = [], []
+    for spectrum in spectra:
+        g = len(spectrum)
+        q, _ = np.linalg.qr(rng.normal(size=(g, g)) + 1j * rng.normal(size=(g, g)))
+        f = (q * spectrum) @ q.conj().T
+        f = 0.5 * (f + f.conj().T)
+        mats.append(f)
+        vecs.append(np.linalg.eigh(f)[1])
+    return np.array(mats), np.array(vecs)
+
+
+def _eigh_lowest(f):
+    return _fix_phases(np.linalg.eigh(f)[1][..., :1])
+
+
+class TestLowestOrbital:
+    """The Rayleigh-quotient route returns eigh's lowest orbital, or falls back to it."""
+
+    GAPPED = np.linspace(-1.0, 2.0, 12)
+
+    def test_second_eigenvector_guess_returns_lowest(self):
+        f, vecs = _hermitian_stack([self.GAPPED, self.GAPPED + 0.3], np.random.default_rng(11))
+        # the iteration stops at once on the second eigenpair; only the
+        # certificate sees that a lower eigenvalue exists
+        got = _lowest_orbital(f, vecs[:, :, 1])
+        assert np.array_equal(got, _eigh_lowest(f))
+
+    def test_near_degenerate_pair_falls_back(self, monkeypatch):
+        close = self.GAPPED.copy()
+        close[1] = close[0] + 5e-4
+        f, vecs = _hermitian_stack([close, self.GAPPED], np.random.default_rng(12))
+        rng = np.random.default_rng(13)
+        guess = vecs[:, :, 0] + 1e-3 * rng.normal(size=(2, 12))
+        calls = []
+        real_eigh = np.linalg.eigh
+
+        def spy(a):
+            calls.append(a.copy())
+            return real_eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        got = _lowest_orbital(f, guess)
+        monkeypatch.undo()
+        # only the near-degenerate momentum reaches eigh
+        assert len(calls) == 1 and np.array_equal(calls[0], f[:1])
+        assert np.array_equal(got[0], _eigh_lowest(f[:1])[0])
+        assert np.max(np.abs(got[1] - _eigh_lowest(f[1:])[0])) < 1e-12
+
+    def test_singular_shifted_solve_falls_back(self):
+        # theta = x^T F x = 1 exactly, an eigenvalue, while x is no eigenvector,
+        # so F - theta I is exactly singular at the first solve
+        f = np.diag([0.0, 1.0, 1.0, 2.0])[None]
+        got = _lowest_orbital(f, np.full((1, 4), 0.5))
+        assert np.array_equal(got[0, :, 0], [1.0, 0.0, 0.0, 0.0])
+
+    def test_stopped_momentum_is_independent_of_its_neighbours(self, monkeypatch):
+        f, vecs = _hermitian_stack([self.GAPPED] * 3, np.random.default_rng(14))
+        rng = np.random.default_rng(15)
+        guess = np.stack(
+            [
+                vecs[0, :, 0],  # converged: stops at the first check
+                vecs[1, :, 0] + 1e-3 * rng.normal(size=12),  # needs solves, certified
+                vecs[2, :, 1] + 1e-3 * rng.normal(size=12),  # converges to the second pair
+            ]
+        )
+        solved = []
+        real_solve = np.linalg.solve
+
+        def spy(a, b):
+            solved.append(a.shape[0])
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        got = _lowest_orbital(f, guess)
+        monkeypatch.undo()
+        assert solved[0] == 2  # the first momentum left the stack before any solve
+        for i in range(3):
+            alone = _lowest_orbital(f[i : i + 1], guess[i : i + 1])
+            assert np.array_equal(got[i], alone[0])
+            assert np.max(np.abs(got[i] - _eigh_lowest(f[i : i + 1])[0])) < 1e-12
+
+    def test_route_matches_eigh_on_a_large_cell(self, monkeypatch):
+        system = build_soft_coulomb_system((64, 0.5), 2.0, 1.0, 2, PERIODIC, kpoints=8)
+        assert system.grid.npoints >= hartree_fock._LOWEST_ORBITAL_MIN_POINTS
+        calls = []
+        real_route = hartree_fock._lowest_orbital
+
+        def spy(f, guess):
+            calls.append(f.shape[0])
+            return real_route(f, guess)
+
+        monkeypatch.setattr(hartree_fock, "_lowest_orbital", spy)
+        routed = band_structure(system)
+        assert calls
+        # band_structure solves the momenta k > 0 as one lockstep stack
+        for res in routed.scf_results:
+            if res.momentum <= 0.0:
+                continue
+            alone = hartree_fock._scf(system, [res.momentum], 500, 1e-10)[0]
+            assert np.array_equal(alone.orbitals, res.orbitals)
+            assert np.array_equal(alone.eigenvalues, res.eigenvalues)
+            assert alone.residual_history == res.residual_history
+            assert alone.energy_history == res.energy_history
+
+        monkeypatch.setattr(hartree_fock, "_LOWEST_ORBITAL_MIN_POINTS", 65)
+        calls.clear()
+        reference = band_structure(system)
+        assert not calls
+        for a, b in zip(routed.scf_results, reference.scf_results):
+            assert (a.iterations, a.converged) == (b.iterations, b.converged)
+            assert abs(a.energy - b.energy) < 1e-13
+        assert np.all(routed.converged_per_k)
+        assert np.max(np.abs(routed.bands - reference.bands)) < 1e-13
