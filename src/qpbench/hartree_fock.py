@@ -12,8 +12,9 @@ Phys. Lett. 73, 393 (1980); J. Comput. Chem. 3, 556 (1982)).  Each DIIS step
 needs only the occupied orbitals of the extrapolated operator.  With one
 occupied orbital on a grid of at least ``_LOWEST_ORBITAL_MIN_POINTS`` points,
 :func:`_lowest_orbital` finds it by Rayleigh-quotient iteration from the
-previous iterate and certifies it by one Cholesky factorization; every other
-eigensolve, and every momentum the certificate rejects, is a full ``eigh``.
+previous iterate; every other eigensolve is a full ``eigh``.  Intermediate
+iterates only steer the path, so no step checks that its orbitals are the
+lowest: one aufbau verdict on the converged occupation does, on every route.
 
 The external potential and the interaction are real, so H(-k) = H(k)*: a
 band structure solves only k >= 0 and fills each -k result by complex
@@ -22,6 +23,7 @@ conjugation of its +k partner (time reversal).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,7 +35,10 @@ _DIIS_MAX_COND = 1e12  # oldest vectors are dropped above this condition number
 # Rayleigh-quotient route for the one occupied orbital (see _lowest_orbital)
 _LOWEST_ORBITAL_MIN_POINTS = 48  # below this grid size a full eigh is as fast
 _LOWEST_ORBITAL_MAX_SOLVES = 8  # shifted solves per momentum; one to three suffice
-_LOWEST_ORBITAL_MIN_GAP = 1e-3  # hartree; a closer second eigenvalue is near-degenerate
+# sine of the largest angle between the occupied space and the lowest
+# eigenvectors of F[gamma]: 45 degrees, halfway between the lowest space (0)
+# and an excited exit (1); a converged momentum sits within about tol / gap of one
+_AUFBAU_MAX_DEFICIT = 0.5**0.5
 
 
 @dataclass(frozen=True)
@@ -172,35 +177,8 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def _gap_certified(f: np.ndarray, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Whether F + s x x^H - (theta + gap) I has a Cholesky factor, per momentum.
-
-    s = max(1, |theta|) > gap.  On the complement of a unit eigenvector x that
-    matrix is F - (theta + gap) I, so a factor proves by Courant-Fischer that
-    the second eigenvalue of F lies above theta + gap; the eigenvalue within
-    |F x - theta x| of theta is then the lowest, and x is its unique
-    eigenvector up to a phase.
-    """
-    s = np.maximum(1.0, np.abs(theta))
-    deflated = x[:, :, None] * (s[:, None] * x.conj())[:, None, :]
-    deflated += f
-    diag = np.arange(f.shape[-1])
-    deflated[:, diag, diag] -= (theta + _LOWEST_ORBITAL_MIN_GAP)[:, None]
-    certified = np.ones(len(f), dtype=bool)
-    try:
-        np.linalg.cholesky(deflated)
-    except np.linalg.LinAlgError:
-        # recheck one momentum at a time; only the indefinite ones fail
-        for i in range(len(f)):
-            try:
-                np.linalg.cholesky(deflated[i])
-            except np.linalg.LinAlgError:
-                certified[i] = False
-    return certified
-
-
 def _lowest_orbital(f: np.ndarray, guess: np.ndarray) -> np.ndarray:
-    """Lowest eigenvector of each Hermitian ``f`` (n, g, g) as phase-fixed unit columns (n, g, 1).
+    """An eigenvector of each Hermitian ``f`` (n, g, g) as phase-fixed unit columns (n, g, 1).
 
     Batched Rayleigh-quotient iteration (Parlett, The Symmetric Eigenvalue
     Problem, section 4.6) from ``guess`` (n, g), the previous SCF iterate:
@@ -208,11 +186,11 @@ def _lowest_orbital(f: np.ndarray, guess: np.ndarray) -> np.ndarray:
     |r| <= 64 eps max|F|, otherwise x <- (F - theta I)^-1 x, normalized.  Only
     the momenta still iterating stay in the stack, so a momentum's result does
     not depend on its neighbours.  The iteration converges to whichever
-    eigenvector lies nearest its start, so a result is accepted only if
-    |r| <= 1024 eps max|F| and :func:`_gap_certified` proves theta the lowest
-    eigenvalue, at least ``_LOWEST_ORBITAL_MIN_GAP`` below the next.  A
-    singular shifted solve ends the iteration of the whole stack.  Every
-    momentum not accepted takes the lowest column of a full ``eigh``.
+    eigenvector lies nearest its start, not necessarily the lowest; the
+    aufbau verdict of :func:`_scf` checks the converged orbital.  A result is
+    accepted if |r| <= 1024 eps max|F|.  A singular shifted solve ends the
+    iteration of the whole stack.  Every momentum not accepted takes the
+    lowest column of a full ``eigh``.
     """
     n, g, _ = f.shape
     eps = np.finfo(float).eps
@@ -240,9 +218,6 @@ def _lowest_orbital(f: np.ndarray, guess: np.ndarray) -> np.ndarray:
         x[rows] = y / np.linalg.norm(y, axis=-1, keepdims=True)
 
     accepted = residual <= 1024 * eps * scale
-    candidates = np.flatnonzero(accepted)
-    if candidates.size:
-        accepted[candidates] = _gap_certified(f[candidates], theta[candidates], x[candidates])
     x = x[..., None]
     if not np.all(accepted):
         x[~accepted] = np.linalg.eigh(f[~accepted])[1][..., :1]
@@ -362,6 +337,15 @@ def _scf(
     projector P = gamma * spacing, drops below ``tol``.  The reported
     eigenpairs and Fock operator are those of the un-extrapolated F[gamma] at
     the last density.
+
+    Aufbau verdict: a small commutator only says that P is nearly an
+    invariant subspace of F[gamma], possibly an excited one.  So a momentum
+    is reported converged only if, besides, the spectral norm of P minus the
+    projector onto the lowest n_occ eigenvectors of F[gamma], the sine of
+    the largest angle between the two spaces, is below
+    ``_AUFBAU_MAX_DEFICIT``.  A momentum that fails is reported not
+    converged with a ``UserWarning`` naming its momentum, that deficit and
+    the HOMO-LUMO gap.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -426,6 +410,19 @@ def _scf(
     eigenvalues, orbitals = np.linalg.eigh(total)
     _fix_phases(orbitals)
     orbitals /= np.sqrt(w)
+    # aufbau verdict: |P_occ - P_lowest| = |(1 - P_lowest) psi| in the spectral norm
+    lowest = orbitals[..., :nocc]
+    deficit = np.sqrt(w) * np.linalg.norm(
+        psi - lowest @ (_adjoint(lowest) @ psi * w), ord=2, axis=(-2, -1)
+    )
+    for i in np.flatnonzero(converged & (deficit >= _AUFBAU_MAX_DEFICIT)):
+        converged[i] = False
+        gap = eigenvalues[i, nocc] - eigenvalues[i, nocc - 1]
+        warnings.warn(  # a UserWarning, shown at the caller of scf_solve or band_structure
+            f"SCF at k={momenta[i]!r} converged off the aufbau occupation (occupied-projector "
+            f"deficit {deficit[i]:.3g}, HOMO-LUMO gap {gap:.3g}); marked not converged",
+            stacklevel=3,
+        )
 
     results = []
     for i, k in enumerate(momenta):
@@ -464,12 +461,18 @@ def scf_solve(
 ) -> SCFResult:
     """Self-consistent fixed point of the density -> Fock -> density map at one momentum.
 
-    Pulay DIIS on the commutator error; convergence is declared when the max
-    norm of F P - P F, P the occupied-space projector, drops below ``tol``.
+    Pulay DIIS on the commutator error; convergence is declared when the
+    Frobenius norm of F P - P F, P the occupied-space projector, drops below
+    ``tol`` and the occupation passes the aufbau verdict of :func:`_scf`.
     Non-convergence is reported through the result flags and residual history
-    rather than raised.
+    rather than raised.  ``guess_orbitals`` that lead to an excited
+    self-consistent state (the verdict fails with the residual below ``tol``)
+    are dropped: the solve runs once more from the core-Hamiltonian guess.
     """
-    return _scf(system, [k], max_iter, tol, guess_orbitals)[0]
+    res = _scf(system, [k], max_iter, tol, guess_orbitals)[0]
+    if guess_orbitals is not None and not res.converged and res.final_residual < tol:
+        res = _scf(system, [k], max_iter, tol)[0]
+    return res
 
 
 def _time_reversed(res: SCFResult, k: float) -> SCFResult:

@@ -23,7 +23,7 @@ from .green_dyson import (
     peak_alignment_error,
     residual_subsample,
 )
-from .hartree_fock import BandStructure, band_structure
+from .hartree_fock import BandStructure, SCFResult, band_structure
 from .hydrogenic import BosonSpectrumParams, boson_energy, mass_operator_limit
 from .many_body import (
     exact_reduced_density_matrix,
@@ -151,6 +151,14 @@ def _stage_bands(system, config, out_dir, chash, state):
     return [csv_path, svg_path, log_path], metrics
 
 
+def _scf_gate_error(res: SCFResult, rejected: str) -> ValueError:
+    """The error of a stage that needs the SCF at ``res.momentum`` converged."""
+    return ValueError(
+        f"SCF at k={res.momentum!r} is not converged (final residual "
+        f"{res.final_residual!r}); {rejected} rejected"
+    )
+
+
 def _stage_quasiparticle(system, config, out_dir, chash, state):
     bands: BandStructure = state["bands"]
     qp = config["quasiparticle"]
@@ -160,10 +168,7 @@ def _stage_quasiparticle(system, config, out_dir, chash, state):
     # a failed SCF at any momentum invalidates every band at that momentum
     unconverged = next((res for res in bands.scf_results if not res.converged), None)
     if unconverged is not None:
-        raise ValueError(
-            f"SCF at k={unconverged.momentum!r} is not converged (final residual "
-            f"{unconverged.final_residual!r}); quasiparticle levels rejected"
-        )
+        raise _scf_gate_error(unconverged, "quasiparticle levels")
     dim = system.grid.npoints
     sigma = np.array([_self_energy_kernel(config, dim, k) for k in bands.kgrid])
     shift = mass_shift(band, sigma, list(bands.scf_results), bands.kgrid)
@@ -217,10 +222,7 @@ def _stage_dyson(system, config, out_dir, chash, state):
     idx = int(np.argmin(np.abs(bands.kgrid)))
     res = bands.scf_results[idx]
     if not res.converged:
-        raise ValueError(
-            f"SCF at k={res.momentum!r} is not converged (final residual "
-            f"{res.final_residual!r}); Dyson dressing rejected"
-        )
+        raise _scf_gate_error(res, "Dyson dressing")
     hamiltonian = res.fock.total
     kernel = _self_energy_kernel(config, system.grid.npoints, bands.kgrid[idx])
     levels = dressed_eigenproblem(hamiltonian, kernel)

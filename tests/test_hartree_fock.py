@@ -169,6 +169,22 @@ class TestScfSolve:
         assert seeded.converged
         assert seeded.energy == pytest.approx(default.energy, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "points, electrons, ground",
+        # 16 points: the eigh route; 64 points: the Rayleigh-quotient route
+        [(16, 1, -1.4890944511), (64, 2, -2.2316412714)],
+        ids=["eigh", "rayleigh-quotient"],
+    )
+    def test_excited_eigenvector_guess_ends_at_the_ground_state(self, points, electrons, ground):
+        system = build_soft_coulomb_system((points, 0.5), 2.0, 1.0, electrons, BOX)
+        # the first solve converges on an excited state; the verdict rejects
+        # it and the solve starts again from the core Hamiltonian
+        with pytest.warns(UserWarning, match=AUFBAU_WARNING):
+            res = scf_solve(system, guess_orbitals=_excited_guess(system))
+        assert res.converged
+        assert res.energy == pytest.approx(ground, abs=1e-9)
+        assert res.energy == pytest.approx(scf_solve(system).energy, abs=1e-12)
+
     def test_total_energy_matches_eigenvalue_bookkeeping(self, well2):
         # E = 2 sum(eps_occ) - interaction double counting; recompute directly
         res = scf_solve(well2)
@@ -452,38 +468,69 @@ def _eigh_lowest(f):
     return _fix_phases(np.linalg.eigh(f)[1][..., :1])
 
 
+def _excited_guess(system, k=None):
+    """The second core-Hamiltonian eigenvector at ``k``, quadrature-normalized."""
+    return np.linalg.eigh(core_hamiltonian(system, k))[1][:, 1:2] / np.sqrt(system.grid.spacing)
+
+
+def _no_eigh(monkeypatch):
+    """Make every later np.linalg.eigh call fail the test."""
+
+    def forbidden(a):
+        raise AssertionError("eigh fallback taken")
+
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+
+
+AUFBAU_WARNING = "converged off the aufbau occupation"
+
+
 class TestLowestOrbital:
-    """The Rayleigh-quotient route returns eigh's lowest orbital, or falls back to it."""
+    """The Rayleigh-quotient route returns the eigenvector its start leads to;
+    the SCF's aufbau verdict, not the route, rejects a non-lowest exit."""
 
     GAPPED = np.linspace(-1.0, 2.0, 12)
 
-    def test_second_eigenvector_guess_returns_lowest(self):
+    def test_second_eigenvector_guess_returns_second(self, monkeypatch):
         f, vecs = _hermitian_stack([self.GAPPED, self.GAPPED + 0.3], np.random.default_rng(11))
-        # the iteration stops at once on the second eigenpair; only the
-        # certificate sees that a lower eigenvalue exists
+        # the iteration stops at once on the second eigenpair
+        _no_eigh(monkeypatch)
         got = _lowest_orbital(f, vecs[:, :, 1])
-        assert np.array_equal(got, _eigh_lowest(f))
+        monkeypatch.undo()
+        assert np.max(np.abs(got - _fix_phases(vecs[:, :, 1:2].copy()))) < 1e-12
+        # on a grid that takes the route, the same kind of start leads the SCF
+        # to an excited self-consistent state, which the verdict rejects
+        system = build_soft_coulomb_system((64, 0.5), 2.0, 1.0, 2, BOX)
+        assert system.grid.npoints >= hartree_fock._LOWEST_ORBITAL_MIN_POINTS
+        with pytest.warns(UserWarning, match=f"{AUFBAU_WARNING} .occupied-projector deficit 1,"):
+            res = hartree_fock._scf(system, [None], 500, 1e-10, _excited_guess(system))[0]
+        assert res.final_residual < 1e-10
+        assert res.energy == pytest.approx(-1.0471287395, abs=1e-9)
+        assert not res.converged
 
-    def test_near_degenerate_pair_falls_back(self, monkeypatch):
+    def test_near_degenerate_pair_needs_no_gap(self, monkeypatch):
         close = self.GAPPED.copy()
         close[1] = close[0] + 5e-4
         f, vecs = _hermitian_stack([close, self.GAPPED], np.random.default_rng(12))
         rng = np.random.default_rng(13)
         guess = vecs[:, :, 0] + 1e-3 * rng.normal(size=(2, 12))
-        calls = []
-        real_eigh = np.linalg.eigh
-
-        def spy(a):
-            calls.append(a.copy())
-            return real_eigh(a)
-
-        monkeypatch.setattr(np.linalg, "eigh", spy)
+        # a pair 5e-4 apart stays on the route
+        _no_eigh(monkeypatch)
         got = _lowest_orbital(f, guess)
         monkeypatch.undo()
-        # only the near-degenerate momentum reaches eigh
-        assert len(calls) == 1 and np.array_equal(calls[0], f[:1])
-        assert np.array_equal(got[0], _eigh_lowest(f[:1])[0])
-        assert np.max(np.abs(got[1] - _eigh_lowest(f[1:])[0])) < 1e-12
+        assert np.max(np.abs(got - _eigh_lowest(f))) < 1e-12
+        # two far wells hold one electron: the lowest pair is 2.0e-6 apart.
+        # The verdict accepts the ground state and rejects the upper level.
+        grid = make_grid(48, 0.5)
+        u = sum(-2.0 / np.sqrt((grid.points - c) ** 2 + 1.0) for c in (-6.0, 6.0))
+        system = ModelSystem(grid, u, np.zeros((48, 48)), 1, BOX)
+        ground = hartree_fock._scf(system, [None], 500, 1e-10)[0]
+        assert ground.converged
+        assert ground.eigenvalues[1] - ground.eigenvalues[0] < 1e-5
+        with pytest.warns(UserWarning, match=f"{AUFBAU_WARNING} .occupied-projector deficit 1,"):
+            upper = hartree_fock._scf(system, [None], 500, 1e-10, _excited_guess(system))[0]
+        assert upper.final_residual < 1e-10
+        assert not upper.converged
 
     def test_singular_shifted_solve_falls_back(self):
         # theta = x^T F x = 1 exactly, an eigenvalue, while x is no eigenvector,
@@ -498,7 +545,7 @@ class TestLowestOrbital:
         guess = np.stack(
             [
                 vecs[0, :, 0],  # converged: stops at the first check
-                vecs[1, :, 0] + 1e-3 * rng.normal(size=12),  # needs solves, certified
+                vecs[1, :, 0] + 1e-3 * rng.normal(size=12),  # needs solves
                 vecs[2, :, 1] + 1e-3 * rng.normal(size=12),  # converges to the second pair
             ]
         )
@@ -513,10 +560,21 @@ class TestLowestOrbital:
         got = _lowest_orbital(f, guess)
         monkeypatch.undo()
         assert solved[0] == 2  # the first momentum left the stack before any solve
+        expected = [0, 0, 1]  # the eigenpair each start leads to
         for i in range(3):
             alone = _lowest_orbital(f[i : i + 1], guess[i : i + 1])
             assert np.array_equal(got[i], alone[0])
-            assert np.max(np.abs(got[i] - _eigh_lowest(f[i : i + 1])[0])) < 1e-12
+            column = vecs[i, :, expected[i] : expected[i] + 1].copy()
+            assert np.max(np.abs(got[i] - _fix_phases(column))) < 1e-12
+        # the SCF verdict judges each momentum of a lockstep stack alone: a
+        # start that is an eigenvector of F at k1 only stays excited there
+        system = build_soft_coulomb_system((16, 0.5), 2.0, 1.0, 1, PERIODIC, kpoints=8)
+        k1, k2 = (float(k) for k in system.kgrid[system.kgrid > 0][:2])
+        with pytest.warns(UserWarning, match=f"SCF at k={k1!r} {AUFBAU_WARNING}") as caught:
+            stack = hartree_fock._scf(system, [k1, k2], 500, 1e-10, _excited_guess(system, k1))
+        assert len(caught) == 1
+        assert [res.final_residual < 1e-10 for res in stack] == [True, True]
+        assert [res.converged for res in stack] == [False, True]
 
     def test_route_matches_eigh_on_a_large_cell(self, monkeypatch):
         system = build_soft_coulomb_system((64, 0.5), 2.0, 1.0, 2, PERIODIC, kpoints=8)

@@ -30,3 +30,38 @@ def test_no_unused_module_level_imports():
     assert modules
     unused = [entry for path in modules for entry in _unused_imports(path)]
     assert unused == []
+
+
+def _private_definitions(tree: ast.Module) -> dict:
+    """Module-level ``_function``, ``_Class`` and ``_CONSTANT`` names, with their lines."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    return defined
+
+
+def test_every_module_level_private_name_is_read():
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in PACKAGE.glob("*.py")}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):  # module._name
+                read.add(node.attr)
+    unread = [
+        f"{path.name}:{line} {name}"
+        for path, tree in sorted(trees.items())
+        for name, line in _private_definitions(tree).items()
+        if name not in read
+    ]
+    assert unread == []
