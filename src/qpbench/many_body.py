@@ -8,9 +8,14 @@ an alpha string and a beta string (the sorted spatial orbitals of each spin).
 The dense CI matrix of a sector is built in that string-product basis from
 single-replacement string operators and mapped back to the determinants, each
 taking the sign of reordering its interleaved spin orbitals into
-alpha-then-beta order.  Its lowest eigenpair comes from a Davidson loop whose
-eigenvalue is certified by a Cholesky factorization, with a full ``eigh`` as
-the fallback.
+alpha-then-beta order.  H keeps spin flip (at Sz = 0) and, when the orbitals
+and integrals show it, reflection parity; a sector of at least
+``_DAVIDSON_MIN_DETERMINANTS`` determinants is split into those symmetry
+blocks.  A Davidson loop finds the lowest eigenpair of the block with the
+lowest diagonal element and certifies it by a Cholesky factorization, and a
+Cholesky factor of every other block proves that no block holds a lower
+level.  A full ``eigh`` of the sector is the fallback, and the only route for
+smaller sectors.
 """
 
 from __future__ import annotations
@@ -38,6 +43,8 @@ _DAVIDSON_MIN_DETERMINANTS = 128  # below this a full eigh is as fast
 _DAVIDSON_MAX_ITER = 50  # the oracle sectors converge in about 20
 _DAVIDSON_TOL = 1e-12  # residual norm |H x - theta x|, times max(1, |theta|)
 _DAVIDSON_MIN_GAP = 1e-3  # hartree; a closer second eigenvalue is near-degenerate
+_PARITY_TOL = 1e-8  # max |R phi - p phi| of a unit orbital of definite parity p
+_SYMMETRY_RTOL = 1e-12  # largest parity-breaking integral, relative to the largest
 
 
 @dataclass(frozen=True)
@@ -281,15 +288,28 @@ def ci_hamiltonian(dets, t: np.ndarray, v: np.ndarray) -> np.ndarray:
     return h
 
 
-def _sector_hamiltonian(occupied, ops, same, v) -> np.ndarray:
-    """The CI matrix of determinants that share one Sz sector, in their order."""
+def _string_labels(occupied: np.ndarray, m: int):
+    """Alpha and beta string ranks of each determinant, and its reordering sign.
+
+    A determinant lists its spin orbitals interleaved (even = up); reordering
+    them into alpha-then-beta order passes every beta orbital below each alpha
+    orbital, so the sign is (-1)^(number of such pairs).
+    """
     n_det, n = occupied.shape
-    m = v.shape[0]
     up = occupied & 1 == 0
     n_a = int(np.count_nonzero(up[0]))
-    n_b = n - n_a
     alpha = (occupied[up] >> 1).reshape(n_det, n_a)
-    beta = (occupied[~up] >> 1).reshape(n_det, n_b)
+    beta = (occupied[~up] >> 1).reshape(n_det, n - n_a)
+    sign = 1.0 - 2.0 * (np.count_nonzero(beta[:, None, :] < alpha[:, :, None], axis=(1, 2)) & 1)
+    return _string_rank(alpha, m), _string_rank(beta, m), sign
+
+
+def _sector_hamiltonian(occupied, ops, same, v) -> np.ndarray:
+    """The CI matrix of determinants that share one Sz sector, in their order."""
+    n = occupied.shape[1]
+    m = v.shape[0]
+    n_a = int(np.count_nonzero(occupied[0] & 1 == 0))
+    n_b = n - n_a
     a, b = same[n_a].shape[0], same[n_b].shape[0]
     if n_a and n_b:
         e_a = _excitation_matrix(ops[n_a], m)
@@ -300,38 +320,154 @@ def _sector_hamiltonian(occupied, ops, same, v) -> np.ndarray:
         string_h = np.zeros((a * a, b * b))
     string_h[:, :: b + 1] += same[n_a].reshape(-1, 1)
     string_h[:: a + 1] += same[n_b].reshape(1, -1)
-    i_a, i_b = _string_rank(alpha, m), _string_rank(beta, m)
+    i_a, i_b, sign = _string_labels(occupied, m)
     # element (d, e) sits at row (I_a(d), I_a(e)) and column (I_b(d), I_b(e))
     h = np.take(string_h, (i_a * (a * b * b) + i_b * b)[:, None] + (i_a * (b * b) + i_b))
-    sign = 1.0 - 2.0 * (np.count_nonzero(beta[:, None, :] < alpha[:, :, None], axis=(1, 2)) & 1)
     h *= sign[:, None]
     h *= sign
     return h
 
 
-def _lowest_eigenpair(h: np.ndarray) -> tuple[float, np.ndarray]:
-    """Lowest eigenvalue and unit eigenvector of the dense symmetric matrix ``h``.
+def _orbital_parity(basis: OrbitalBasis, t: np.ndarray, v: np.ndarray):
+    """Reflection parity (+1 or -1) of each orbital, or None where H does not keep it.
 
-    Sectors of at least ``_DAVIDSON_MIN_DETERMINANTS`` run :func:`_davidson`;
-    smaller ones, and every sector where the loop gives up, take the lowest
-    pair of a full ``eigh``.
+    The reflection reverses the grid.  Parity blocks are used only if every
+    unit orbital phi has |R phi - p phi| <= ``_PARITY_TOL`` and the integrals
+    that blocking drops are measured to be negligible: every t_ik between
+    parity classes and every v_ijkl of odd total parity lies below
+    ``_SYMMETRY_RTOL`` times the largest element of its tensor.  A periodic
+    cell (well centred half a spacing off the kernel's centre), degenerate
+    +-G orbitals, or a reflection-asymmetric pair kernel give None.
     """
-    if h.shape[0] >= _DAVIDSON_MIN_DETERMINANTS:
-        pair = _davidson(h)
-        if pair is not None:
-            return pair
+    unit = basis.functions * math.sqrt(basis.spacing)
+    reflected = unit[::-1]
+    parity = np.where(np.einsum("gi,gi->i", unit, reflected) < 0, -1, 1)
+    if np.max(np.abs(reflected - parity * unit)) > _PARITY_TOL:
+        return None
+    odd = np.multiply.outer(parity, parity) < 0
+    for tensor, dropped in ((t, odd), (v, np.not_equal.outer(odd, odd))):
+        if np.max(np.abs(tensor[dropped]), initial=0.0) > _SYMMETRY_RTOL * np.max(np.abs(tensor)):
+            return None
+    return parity
+
+
+class _Block(NamedTuple):
+    """One symmetry block of a CI sector, in the determinant basis.
+
+    Basis vector k is weight[k] (|rows[k]> + phase[k] |partners[k]>), with
+    weight 1/sqrt(2) for a determinant paired with its spin flip and 1/2 for a
+    determinant that is its own partner (phase 1), so the vector is |rows[k]>.
+    """
+
+    rows: np.ndarray
+    partners: np.ndarray
+    phase: np.ndarray
+    weight: np.ndarray
+
+
+def _symmetry_blocks(dets, m: int, parity) -> list:
+    """Split the determinants of a complete Sz sector by spin flip (Sz = 0) and by ``parity``.
+
+    Spin flip F swaps the alpha and beta strings: F|d> = sigma_d |d'> with
+    sigma_d = s(d) s(d') (-1)^(n_a n_b), s the alpha-then-beta reordering sign
+    of :func:`_string_labels`.  F commutes with the spin-free H and F^2 = 1,
+    so each eigenvalue f = +-1 of F spans a block of vectors
+    (|d> + f sigma_d |d'>)/sqrt(2), one per pair, plus the self-paired
+    determinants (d = d') with sigma_d = f.  Parity, when not None, splits each
+    block again by the product of the occupied orbitals' parities.  Empty
+    blocks are left out.
+    """
+    occupied = np.array(dets, dtype=np.intp).reshape(len(dets), -1)
+    n_det, n = occupied.shape
+    index = np.arange(n_det)
+    i_a, i_b, sign = _string_labels(occupied, m)
+    n_a = int(np.count_nonzero(occupied[0] & 1 == 0))
+    if 2 * n_a == n:
+        count = math.comb(m, n_a)
+        position = np.empty(count * count, dtype=np.intp)
+        position[i_a * count + i_b] = index
+        partner = position[i_b * count + i_a]
+        sigma = sign * sign[partner] * (-1.0) ** (n_a * n_a)
+        flips = (1.0, -1.0)
+    else:
+        partner, sigma, flips = index, np.ones(n_det), (1.0,)
+    det_parity = 1 if parity is None else np.prod(parity[occupied >> 1], axis=1)
+    blocks = []
+    for f in flips:
+        kept = (index < partner) | ((index == partner) & (sigma == f))
+        for p in (1, -1):
+            rows = np.flatnonzero(kept & (det_parity == p))
+            if rows.size:
+                partners = partner[rows]
+                weight = np.where(partners == rows, 0.5, math.sqrt(0.5))
+                blocks.append(_Block(rows, partners, f * sigma[rows], weight))
+    return blocks
+
+
+def _block_matrix(h: np.ndarray, block: _Block) -> np.ndarray:
+    """<u_j|H|u_k> = 2 w_j w_k (H[r_j, r_k] + phase_k H[r_j, r'_k]) when F H F = H."""
+    picked = h[block.rows]
+    b = np.take(picked, block.rows, axis=1)
+    b += np.take(picked, block.partners, axis=1) * block.phase
+    b *= 2.0 * np.outer(block.weight, block.weight)
+    return b
+
+
+def _unblock(block: _Block, y: np.ndarray, n: int) -> np.ndarray:
+    """The determinant-basis vector sum_k y_k u_k of a block vector ``y``."""
+    x = np.zeros(n)
+    x[block.rows] = block.weight * y
+    x[block.partners] += block.phase * block.weight * y
+    return x
+
+
+def _lowest_eigenpair(h: np.ndarray, blocks: list) -> tuple[float, np.ndarray]:
+    """Lowest eigenvalue and unit eigenvector of ``h``, certified block by block.
+
+    ``blocks`` are the symmetry blocks of ``h`` (:func:`_symmetry_blocks`).
+    The block with the lowest diagonal element runs :func:`_davidson`, which
+    certifies its pair (theta, y) as that block's lowest, separated from the
+    block's next level by ``_DAVIDSON_MIN_GAP``.  Every other block B must
+    then have a Cholesky factor of B - (theta + gap) I, so all its eigenvalues
+    lie above theta + gap.  Together these prove theta the lowest eigenvalue
+    of the blocked operator, with a unique eigenvector.  With no blocks, or
+    when any certificate fails, a full ``eigh`` of ``h`` gives the pair.
+    """
+    if blocks:
+        matrices = [_block_matrix(h, block) for block in blocks]
+        ground = int(np.argmin([np.min(np.diagonal(b)) for b in matrices]))
+        pair = _davidson(matrices[ground])
+        if pair is not None and all(
+            _exceeds(b, pair[0] + _DAVIDSON_MIN_GAP)
+            for j, b in enumerate(matrices)
+            if j != ground
+        ):
+            return pair[0], _unblock(blocks[ground], pair[1], h.shape[0])
     eigvals, eigvecs = np.linalg.eigh(h)
     return float(eigvals[0]), eigvecs[:, 0]
+
+
+def _exceeds(a: np.ndarray, shift: float) -> bool:
+    """Whether every eigenvalue of the symmetric ``a`` exceeds ``shift``; overwrites ``a``.
+
+    True when a - shift I has a Cholesky factor.
+    """
+    a[np.diag_indices(a.shape[0])] -= shift
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _davidson(h: np.ndarray):
     """Certified lowest eigenpair by Davidson's method, or None to fall back.
 
     E. R. Davidson, J. Comput. Phys. 17, 87 (1975): the subspace starts from
-    the lowest diagonal determinant and grows by the diagonally preconditioned
-    residual, orthogonalized in two Gram-Schmidt passes.  H and the
-    preconditioner both keep spatial parity and spin flip, so the loop never
-    leaves its start vector's symmetry sector: it may converge to a higher
+    the lowest diagonal element and grows by the diagonally preconditioned
+    residual, orthogonalized in two Gram-Schmidt passes.  ``h`` is one
+    symmetry block of a CI sector.  Should it hold a further symmetry, the loop
+    never leaves its start vector's sector: it may converge to a higher
     eigenvalue, and its Ritz values cannot see a degenerate partner from
     another sector.  A converged pair (theta, x) is therefore accepted only if
     H + s x x^T - (theta + gap) I has a Cholesky factor (s > gap).  On the
@@ -368,10 +504,7 @@ def _davidson(h: np.ndarray):
     x /= np.linalg.norm(x)
     deflated = np.outer(x, scale * x)  # lifts theta by scale > gap
     deflated += h
-    deflated[np.diag_indices(n)] -= theta + _DAVIDSON_MIN_GAP
-    try:
-        np.linalg.cholesky(deflated)
-    except np.linalg.LinAlgError:
+    if not _exceeds(deflated, theta + _DAVIDSON_MIN_GAP):
         return None
     return float(theta), x
 
@@ -383,9 +516,12 @@ def full_ci_ground_state(
 ) -> tuple[float, NBodyWavefunction]:
     """Lowest eigenpair of the exact N-body Hamiltonian in the truncated orbital set.
 
-    The pair comes from :func:`_lowest_eigenpair`: a certified Davidson loop
-    on sectors of at least ``_DAVIDSON_MIN_DETERMINANTS`` determinants, a full
-    ``eigh`` below that or wherever the loop gives up.  The overall sign makes
+    A sector of at least ``_DAVIDSON_MIN_DETERMINANTS`` determinants is split
+    by spin flip and orbital parity (:func:`_symmetry_blocks`), and the pair
+    comes from :func:`_lowest_eigenpair`: a certified Davidson loop on the
+    block with the lowest diagonal element and a Cholesky factor of every
+    other block.  Smaller sectors, and every sector where a certificate fails,
+    take a full ``eigh``.  The overall sign makes
     the largest-magnitude coefficient positive.  The energy is variational: it
     can only decrease when ``orbital_cutoff`` grows.  Only determinants of
     total spin projection ``sz`` enter (e.g. ``sz=1.0`` for two aligned
@@ -411,7 +547,10 @@ def full_ci_ground_state(
         raise ValueError("no determinants satisfy the requested spin projection")
     t = one_body_integrals(basis, system)
     v = two_body_integrals(basis, system.interaction_kernel)
-    energy, coeff = _lowest_eigenpair(ci_hamiltonian(dets, t, v))
+    blocks = []
+    if len(dets) >= _DAVIDSON_MIN_DETERMINANTS:
+        blocks = _symmetry_blocks(dets, basis.size, _orbital_parity(basis, t, v))
+    energy, coeff = _lowest_eigenpair(ci_hamiltonian(dets, t, v), blocks)
     # fix the overall phase for reproducibility
     pivot = int(np.argmax(np.abs(coeff)))
     if coeff[pivot] < 0:
@@ -494,8 +633,15 @@ def reduced_density_matrix_on_grid(
     )
 
 
-def natural_occupations(state: NBodyWavefunction) -> np.ndarray:
-    """Eigenvalues of the spin-orbital one-matrix, descending; they sum to N."""
-    rho1 = exact_reduced_density_matrix(state, 1)
+def natural_occupations(rho1: DensityMatrix) -> np.ndarray:
+    """Eigenvalues of the spin-orbital one-matrix, descending; they sum to N.
+
+    ``rho1`` is the order-1 matrix of :func:`exact_reduced_density_matrix`.
+    """
+    if rho1.order != 1 or rho1.basis != ORBITAL:
+        raise ValueError(
+            f"natural occupations need an order-1 {ORBITAL} matrix, "
+            f"got order {rho1.order} in the {rho1.basis} basis"
+        )
     occ = np.linalg.eigvalsh(rho1.matrix)[::-1]
     return np.real(occ)

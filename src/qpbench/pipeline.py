@@ -81,10 +81,8 @@ def _stage_oracle(system, config, out_dir, chash, state):
         system, config["oracle"]["orbital_cutoff"]
     )
     shash = system_hash(system.snapshot())
-    rdm_records = [
-        reports.density_matrix_record(
-            exact_reduced_density_matrix(wavefunction, order), shash
-        )
+    rdms = [
+        exact_reduced_density_matrix(wavefunction, order)
         for order in range(1, min(system.n_electrons, 2) + 1)
     ]
     record = {
@@ -93,8 +91,10 @@ def _stage_oracle(system, config, out_dir, chash, state):
         "sz": wavefunction.sz,
         "determinants": len(wavefunction.determinants),
         "energy": energy,
-        "natural_occupations": natural_occupations(wavefunction),
-        "reduced_density_matrices": rdm_records,
+        "natural_occupations": natural_occupations(rdms[0]),
+        "reduced_density_matrices": [
+            reports.density_matrix_record(rho, shash) for rho in rdms
+        ],
     }
     path = reports.write_json(out_dir / "oracle.json", record, chash)
     return [path], {"ci_energy": energy}

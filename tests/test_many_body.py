@@ -15,14 +15,17 @@ from qpbench.many_body import (
     natural_occupations,
     one_body_integrals,
     orbital_basis,
+    reduced_density_matrix_on_grid,
     two_body_integrals,
 )
 from qpbench.model_system import (
     BOX,
+    PERIODIC,
     ModelSystem,
     build_soft_coulomb_system,
     core_hamiltonian,
     make_grid,
+    soft_coulomb_kernel,
 )
 
 
@@ -258,6 +261,42 @@ def davidson_spy(monkeypatch):
     return returned
 
 
+@pytest.fixture
+def block_spy(monkeypatch):
+    """Record the blocks each ``_symmetry_blocks`` call returns."""
+    returned = []
+    inner = many_body._symmetry_blocks
+
+    def spy(*args):
+        returned.append(inner(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(many_body, "_symmetry_blocks", spy)
+    return returned
+
+
+def plain_blocks(sizes):
+    """Consecutive index ranges as blocks without spin-flip partners."""
+    edges = np.cumsum([0, *sizes])
+    blocks = []
+    for lo, hi in zip(edges, edges[1:]):
+        rows = np.arange(lo, hi)
+        blocks.append(many_body._Block(rows, rows, np.ones(rows.size), np.full(rows.size, 0.5)))
+    return blocks
+
+
+def block_transform(blocks, n):
+    """Columns u_k = w_k (e_r + c_k e_r'), built entry by entry from the block fields."""
+    columns = []
+    for block in blocks:
+        for r, p, c, w in zip(block.rows, block.partners, block.phase, block.weight):
+            u = np.zeros(n)
+            u[r] += w
+            u[p] += c * w
+            columns.append(u)
+    return np.array(columns).T
+
+
 def symmetric_with_spectrum(levels, seed):
     """Q diag(levels) Q^T for a random orthogonal Q near the identity."""
     rng = np.random.default_rng(seed)
@@ -268,11 +307,35 @@ def symmetric_with_spectrum(levels, seed):
     return 0.5 * (h + h.T)
 
 
+def assert_is_eigh_result(energy, state, h):
+    """The oracle's pair is bitwise the phase-fixed pair of a full ``eigh``."""
+    ref_energy, ref_vec = eigh_pair(h)
+    assert energy == ref_energy
+    assert np.array_equal(state.coefficients, ref_vec.astype(complex))
+
+
+def double_well():
+    """N = 2 in two deep soft wells at +-3 bohr: singlet and triplet lie 3e-7 apart."""
+    grid = make_grid(24, 0.5)
+    x = grid.points
+    u = -2.0 / np.sqrt((x - 3.0) ** 2 + 0.25) - 2.0 / np.sqrt((x + 3.0) ** 2 + 0.25)
+    return ModelSystem(grid, u, soft_coulomb_kernel(x, 1.0), 2, BOX)
+
+
+def tilted_kernel_system():
+    """A symmetric well whose pair kernel is not reflection symmetric."""
+    grid = make_grid(16, 0.5)
+    x = grid.points
+    u = -2.0 / np.sqrt(x * x + 1.0)
+    kernel = soft_coulomb_kernel(x, 1.0) * (1.0 + 0.05 * (x[:, None] + x[None, :]))
+    return ModelSystem(grid, u, kernel, 2, BOX)
+
+
 class TestLowestEigenpair:
-    def test_other_symmetry_block_is_caught_by_the_certificate(self, davidson_spy):
-        # The lowest diagonal element sits in block a, the lowest eigenvalue in
-        # block b.  A diagonal preconditioner never couples the blocks, so the
-        # loop converges inside block a; only the certificate can tell.
+    def test_other_symmetry_block_is_caught_by_the_certificate(self):
+        # The lowest diagonal element sits in sub-block a, the lowest eigenvalue
+        # in sub-block b.  A diagonal preconditioner never couples them, so the
+        # loop converges inside a; only the deflated certificate can tell.
         n = many_body._DAVIDSON_MIN_DETERMINANTS
         rng = np.random.default_rng(3)
 
@@ -285,18 +348,37 @@ class TestLowestEigenpair:
         h[:n, :n], h[n:, n:] = a, b
         assert np.argmin(np.diag(h)) < n
         assert np.linalg.eigvalsh(b)[0] < np.linalg.eigvalsh(a)[0] - 0.3
-        energy, vec = many_body._lowest_eigenpair(h)
-        assert davidson_spy == [None]
-        ref_energy, ref_vec = eigh_pair(h)
-        assert energy == ref_energy
-        assert abs(vec @ ref_vec) == pytest.approx(1.0, abs=1e-12)
+        assert many_body._davidson(h) is None
+
+    @pytest.mark.parametrize("lowest", [1, 2, 3])
+    def test_every_other_block_is_factored(self, lowest, davidson_spy):
+        # Block 0 holds the lowest diagonal element, so the loop runs there and
+        # certifies its own lowest level; the lower level of block ``lowest``
+        # is caught only by that block's Cholesky factor.
+        size = 64
+        rng = np.random.default_rng(7)
+        blocks = []
+        for k in range(4):
+            c = 0.01 * rng.normal(size=(size, size))
+            low = 0.5 + 0.1 * k if k else 0.0
+            blocks.append(np.diag(np.linspace(low, low + 5.0, size)) + 0.5 * (c + c.T))
+        blocks[lowest][0, 1] = blocks[lowest][1, 0] = -1.0  # a level near low - 1
+        h = np.zeros((4 * size, 4 * size))
+        for k, b in enumerate(blocks):
+            h[k * size:(k + 1) * size, k * size:(k + 1) * size] = b
+        assert np.argmin(np.diag(h)) < size
+        energy, vec = many_body._lowest_eigenpair(h, plain_blocks([size] * 4))
+        assert davidson_spy[0] is not None
+        eigvals, eigvecs = np.linalg.eigh(h)
+        assert energy == eigvals[0]
+        assert np.array_equal(vec, eigvecs[:, 0])
 
     @pytest.mark.parametrize("gap", [0.0, 1e-4])
     def test_degenerate_lowest_pair_falls_back_to_eigh(self, gap, davidson_spy):
         n = many_body._DAVIDSON_MIN_DETERMINANTS + 72
         levels = np.concatenate([[-1.0, -1.0 + gap], np.linspace(0.0, 5.0, n - 2)])
         h = symmetric_with_spectrum(levels, seed=5)
-        energy, vec = many_body._lowest_eigenpair(h)
+        energy, vec = many_body._lowest_eigenpair(h, plain_blocks([n]))
         assert davidson_spy == [None]
         eigvals, eigvecs = np.linalg.eigh(h)
         assert energy == eigvals[0]
@@ -306,7 +388,7 @@ class TestLowestEigenpair:
         n = many_body._DAVIDSON_MIN_DETERMINANTS + 72
         levels = np.concatenate([[-1.0, -0.99], np.linspace(0.0, 5.0, n - 2)])
         h = symmetric_with_spectrum(levels, seed=5)
-        energy, vec = many_body._lowest_eigenpair(h)
+        energy, vec = many_body._lowest_eigenpair(h, plain_blocks([n]))
         assert davidson_spy[0] is not None
         ref_energy, ref_vec = eigh_pair(h)
         assert energy == pytest.approx(ref_energy, abs=1e-12)
@@ -316,37 +398,86 @@ class TestLowestEigenpair:
         system = build_soft_coulomb_system((12, 0.5), 2.0, 1.0, 2, BOX)
         _, h = sector_hamiltonian(system, 12)  # 144 determinants
         monkeypatch.setattr(many_body, "_DAVIDSON_MAX_ITER", 1)
-        energy, vec = many_body._lowest_eigenpair(h)
+        energy, state = full_ci_ground_state(system, orbital_cutoff=12)
         assert davidson_spy == [None]
-        eigvals, eigvecs = np.linalg.eigh(h)
-        assert energy == eigvals[0]
-        assert np.array_equal(vec, eigvecs[:, 0])
+        assert_is_eigh_result(energy, state, h)
 
-    def test_odd_electron_sector_matches_eigh(self, davidson_spy):
+    def test_near_degenerate_levels_in_two_blocks_fall_back_to_eigh(
+        self, davidson_spy, block_spy
+    ):
+        # The triplet's block holds the lowest diagonal element; the loop
+        # certifies the triplet there, and the singlet block, 3e-7 lower,
+        # fails its Cholesky factor.
+        system = double_well()
+        dets, h = sector_hamiltonian(system, 12)
+        assert len(dets) == 144
+        energy, state = full_ci_ground_state(system, orbital_cutoff=12)
+        assert len(block_spy[0]) == 4
+        assert davidson_spy[0] is not None
+        levels = sorted(np.linalg.eigvalsh(many_body._block_matrix(h, b))[0] for b in block_spy[0])
+        assert levels[1] - levels[0] < many_body._DAVIDSON_MIN_GAP
+        assert abs(davidson_spy[0][0] - levels[0]) > 1e-8
+        assert_is_eigh_result(energy, state, h)
+
+    def test_odd_electron_sector_matches_eigh(self, davidson_spy, block_spy):
         system = build_soft_coulomb_system((16, 0.5), 2.0, 1.0, 3, BOX)
         dets, h = sector_hamiltonian(system, 8)
         assert len(dets) == 224
         energy, state = full_ci_ground_state(system, orbital_cutoff=8)
+        (blocks,) = block_spy
+        assert len(blocks) == 2  # parity alone: Sz = 1/2 has no spin flip
+        assert all(np.array_equal(b.rows, b.partners) for b in blocks)
+        assert sum(b.rows.size for b in blocks) == 224
         assert davidson_spy[0] is not None
         assert state.sz == 0.5
         ref_energy, ref_vec = eigh_pair(h)
         assert energy == pytest.approx(ref_energy, abs=1e-12)
-        assert abs(np.vdot(state.coefficients, ref_vec)) >= 1.0 - 1e-12
+        assert np.max(np.abs(state.coefficients - ref_vec)) < 1e-10
 
-    def test_small_sectors_never_enter_the_loop(self, davidson_spy):
-        cutoff = many_body._DAVIDSON_MIN_DETERMINANTS
-        rng = np.random.default_rng(0)
-        for n in (cutoff - 1, cutoff):
-            h = np.diag(np.arange(n, dtype=float)) + 1e-3 * rng.normal(size=(n, n))
-            many_body._lowest_eigenpair(0.5 * (h + h.T))
-        assert len(davidson_spy) == 1
+    def test_small_sectors_never_enter_the_loop(self, monkeypatch, davidson_spy, block_spy):
+        system = build_soft_coulomb_system((12, 0.5), 2.0, 1.0, 2, BOX)
+        default = many_body._DAVIDSON_MIN_DETERMINANTS
+        for threshold in (145, 144):  # the sector holds 144 determinants
+            monkeypatch.setattr(many_body, "_DAVIDSON_MIN_DETERMINANTS", threshold)
+            full_ci_ground_state(system, orbital_cutoff=12)
+        assert len(davidson_spy) == len(block_spy) == 1
         # the largest benchmark sweep sectors hold 100 determinants
+        monkeypatch.setattr(many_body, "_DAVIDSON_MIN_DETERMINANTS", default)
         for n_elec, orbitals in ((2, 10), (4, 5)):
             system = build_soft_coulomb_system((12, 0.5), 2.0, 1.0, n_elec, BOX)
             _, state = full_ci_ground_state(system, orbital_cutoff=orbitals)
             assert len(state.determinants) == 100
         assert len(davidson_spy) == 1
 
+
+class TestSymmetryBlocks:
+    @pytest.mark.parametrize(
+        "system",
+        [build_soft_coulomb_system((16, 0.5), 2.0, 1.0, 2, PERIODIC), tilted_kernel_system()],
+        ids=["periodic", "tilted-kernel"],
+    )
+    def test_no_parity_takes_spin_flip_alone(self, system, davidson_spy, block_spy):
+        dets, h = sector_hamiltonian(system, 12)
+        basis = orbital_basis(system, 12)
+        assert many_body._orbital_parity(basis, *integrals(system, 12)) is None
+        energy, state = full_ci_ground_state(system, orbital_cutoff=12)
+        (blocks,) = block_spy
+        assert len(blocks) == 2
+        assert davidson_spy[0] is not None
+        ref_energy, ref_vec = eigh_pair(h)
+        assert energy == pytest.approx(ref_energy, abs=1e-12)
+        assert np.max(np.abs(state.coefficients - ref_vec)) < 1e-10
+
+    def test_tilted_kernel_fails_only_the_integral_check(self):
+        system = tilted_kernel_system()
+        unit = orbital_basis(system, 12).functions * math.sqrt(system.grid.spacing)
+        parity = np.resize([1, -1], 12)
+        assert np.max(np.abs(unit[::-1] - parity * unit)) < 1e-10
+        t, v = integrals(system, 12)
+        odd = np.multiply.outer(parity, parity) < 0
+        assert np.max(np.abs(t[odd])) < 1e-12 * np.max(np.abs(t))
+        odd_total = np.einsum("i,j,k,l->ijkl", parity, parity, parity, parity) < 0
+        assert np.max(np.abs(v[odd_total])) > 1e-3 * np.max(np.abs(v))
 
 @pytest.fixture(
     scope="module",
@@ -376,13 +507,36 @@ class TestOracleShapeRegression:
         )
         assert energy == pytest.approx(ref_energy, abs=1e-12)
         assert np.max(np.abs(state.coefficients - reference.coefficients)) < 1e-10
-        assert np.max(
-            np.abs(natural_occupations(state) - natural_occupations(reference))
-        ) < 1e-12
+        occupations = [
+            natural_occupations(exact_reduced_density_matrix(s, 1)) for s in (state, reference)
+        ]
+        assert np.max(np.abs(occupations[0] - occupations[1])) < 1e-12
         for order in (1, 2):
             trace = exact_reduced_density_matrix(state, order).trace()
             ref_trace = exact_reduced_density_matrix(reference, order).trace()
             assert trace == pytest.approx(ref_trace, abs=1e-12)
+
+    def test_blocks_reassemble_the_hamiltonian(self, oracle_shape):
+        system, dets, h = oracle_shape
+        basis = orbital_basis(system, 8)
+        parity = many_body._orbital_parity(basis, *integrals(system, 8))
+        assert parity is not None
+        blocks = many_body._symmetry_blocks(dets, 8, parity)
+        assert sorted(b.rows.size for b in blocks) == [186, 192, 192, 214]
+        u = block_transform(blocks, len(dets))
+        assert np.max(np.abs(u.T @ u - np.eye(len(dets)))) < 1e-15
+        blocked = u.T @ h @ u
+        edges = np.cumsum([0] + [b.rows.size for b in blocks])
+        kept = np.zeros_like(blocked, dtype=bool)
+        for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            kept[lo:hi, lo:hi] = True
+            block = many_body._block_matrix(h, blocks[k])
+            assert np.max(np.abs(block - blocked[lo:hi, lo:hi])) < 1e-13
+        assert np.max(np.abs(blocked[~kept])) <= 1e-13
+        spectra = np.sort(
+            np.concatenate([np.linalg.eigvalsh(many_body._block_matrix(h, b)) for b in blocks])
+        )
+        assert np.max(np.abs(spectra - np.linalg.eigvalsh(h))) < 1e-12
 
     def test_build_memory_stays_within_a_few_matrices(self):
         # tracemalloc sees numpy's buffers; the build peaks near 3.1 matrices
@@ -454,6 +608,12 @@ class TestReducedDensityMatrices:
 
     def test_natural_occupations_sum_to_n(self, well2):
         _, state = full_ci_ground_state(well2, orbital_cutoff=6)
-        occ = natural_occupations(state)
+        occ = natural_occupations(exact_reduced_density_matrix(state, 1))
         assert np.sum(occ) == pytest.approx(2.0, abs=1e-10)
         assert occ[0] > occ[-1]
+
+    def test_natural_occupations_need_the_spin_orbital_one_matrix(self, well2):
+        _, state = full_ci_ground_state(well2, orbital_cutoff=4)
+        for rho in (exact_reduced_density_matrix(state, 2), reduced_density_matrix_on_grid(state, 1)):
+            with pytest.raises(ValueError, match="order-1 orbital matrix"):
+                natural_occupations(rho)

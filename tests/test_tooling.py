@@ -1,11 +1,15 @@
-"""Source hygiene checks that read the package with ``ast`` only."""
+"""Source hygiene checks on the package, and on the benchmark's view of it."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
 from pathlib import Path
 
 import qpbench
 
 PACKAGE = Path(qpbench.__file__).parent
+SPANS = PACKAGE.parents[1] / "perfbench" / "spans.py"
 
 
 def _unused_imports(path: Path) -> list:
@@ -65,3 +69,18 @@ def test_every_module_level_private_name_is_read():
         if name not in read
     ]
     assert unread == []
+
+
+def test_every_traced_function_exists():
+    # the tracer logs a missing function and reads its layer time as 0, so a
+    # rename in the package would otherwise pass the benchmark unnoticed
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.LAYERS
+    missing = [
+        f"{module}.{name}"
+        for module, name in spans.LAYERS
+        if not inspect.isfunction(getattr(importlib.import_module(module), name, None))
+    ]
+    assert missing == []
