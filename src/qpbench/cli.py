@@ -69,7 +69,9 @@ def _load_config(args) -> RunConfig:
     }
     for (section, key), value in overrides.items():
         if value is not None:
-            raw.setdefault(section, {})[key] = value
+            part = raw.setdefault(section, {})
+            if isinstance(part, dict):  # validation rejects any other section
+                part[key] = value
     return RunConfig.from_dict(raw)
 
 

@@ -167,6 +167,12 @@ def validate_config(raw: dict) -> dict:
             raise ConfigError("oracle.enabled: the exact oracle supports at most 4 electrons")
         if data["oracle"]["orbital_cutoff"] > sysconf["points"]:
             raise ConfigError("oracle.orbital_cutoff: cannot exceed system.points")
+        needed = (sysconf["electrons"] + 1) // 2
+        if data["oracle"]["orbital_cutoff"] < needed:
+            raise ConfigError(
+                f"oracle.orbital_cutoff: the {sysconf['electrons']} electrons of system.electrons "
+                f"need at least {needed} spatial orbitals, got {data['oracle']['orbital_cutoff']}"
+            )
     return data
 
 

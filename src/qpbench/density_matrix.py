@@ -1,9 +1,8 @@
-"""Reduced density matrices, pure-state projectors and the two-term energy functional.
+"""Reduced density matrices, band projectors and the two-term energy functional.
 
 An order-n reduced matrix is stored densely over ordered n-tuples of a single
-coordinate index (grid point, spin-orbital, or abstract state label), with a
-quadrature weight per coordinate so that traces reproduce their continuum
-normalization N!/(N-n)!.
+coordinate index (grid point or spin-orbital), with a quadrature weight per
+coordinate so that traces reproduce their continuum normalization N!/(N-n)!.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import numpy as np
 # basis tags for DensityMatrix.basis
 ORBITAL = "orbital"
 GRID = "grid"
-STATE = "state"
 
 _MAX_MATRIX_ENTRIES = 8_000_000
 # hf_decomposition's bound on |rho2 - rho2[rho1]|, relative to max |rho2|
@@ -115,50 +113,29 @@ def check_matrix_size(dim: int, order: int) -> None:
 
 @dataclass(frozen=True)
 class Projector:
-    """Outer product |ket><bra| of two grid vectors.
+    """Projector |v><v| onto one grid vector.
 
-    Only the generating vectors are stored; :attr:`matrix` forms the outer
-    product on demand, so idempotency and orthogonality checks stay exact.
+    Only the vector is stored; :attr:`matrix` forms the outer product on
+    demand, so the idempotency check stays exact.
     """
 
-    ket_vector: np.ndarray
-    bra_vector: np.ndarray
+    vector: np.ndarray
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.outer(self.ket_vector, self.bra_vector.conj())
+        return np.outer(self.vector, self.vector.conj())
 
     def trace_with(self, operator: np.ndarray) -> complex:
-        """tr(P . operator) = <bra|operator|ket>."""
-        if operator.shape != (self.bra_vector.size, self.ket_vector.size):
-            raise ValueError("operator dimension does not match projector vectors")
-        return complex(self.bra_vector.conj() @ operator @ self.ket_vector)
+        """tr(P . operator) = <v|operator|v>."""
+        v = self.vector
+        if operator.shape != (v.size, v.size):
+            raise ValueError("operator dimension does not match the projector vector")
+        return complex(v.conj() @ operator @ v)
 
 
 def band_projector(vector: np.ndarray) -> Projector:
     """Diagonal projector |n;k><n;k| onto a single band state's orbital."""
-    v = np.asarray(vector)
-    return Projector(ket_vector=v, bra_vector=v)
-
-
-def pure_state_projector(state_vector: np.ndarray) -> DensityMatrix:
-    """Density operator |psi><psi| of a normalized state vector.
-
-    Idempotent and Hermitian with unit trace; the single coordinate index
-    runs over the state space the vector lives in.
-    """
-    v = np.asarray(state_vector)
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"state vector not normalized: |v| = {norm!r}")
-    return DensityMatrix(
-        order=1,
-        n_electrons=1,
-        matrix=np.outer(v, v.conj()),
-        dim_single=v.size,
-        weight=1.0,
-        basis=STATE,
-    )
+    return Projector(vector=np.asarray(vector))
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +170,6 @@ def energy_from_density_matrices(
     diag = np.real(rho2.pair_diagonal())
     e_two = 0.5 * float(np.sum(v_kernel * diag) * rho2.weight**2)
     return e_one + e_two
-
-
-def spin_zero_density(occupied_orbitals: np.ndarray) -> np.ndarray:
-    """Per-spin density kernel sum_m psi_m(x') psi_m*(x) of doubly occupied orbitals."""
-    phi = np.asarray(occupied_orbitals)
-    return phi @ phi.conj().T
 
 
 def determinant_density_matrices(

@@ -332,9 +332,11 @@ def _scf(
 ) -> list[SCFResult]:
     """Lockstep Pulay-DIIS SCF over a stack of momenta; one result per momentum.
 
-    Each momentum stops updating once its residual, the Frobenius norm of the
-    commutator F P - P F of its Fock operator with the occupied-space
-    projector P = gamma * spacing, drops below ``tol``.  The reported
+    Every momentum starts from its core-Hamiltonian orbitals, or from the
+    first n_occ columns of ``guess_orbitals`` when given.  Each momentum
+    stops updating once its residual, the Frobenius norm of the commutator
+    F P - P F of its Fock operator with the occupied-space projector
+    P = gamma * spacing, drops below ``tol``.  The reported
     eigenpairs and Fock operator are those of the un-extrapolated F[gamma] at
     the last density.
 
@@ -453,26 +455,17 @@ def _scf(
 
 
 def scf_solve(
-    system: ModelSystem,
-    k: float | None = None,
-    max_iter: int = 500,
-    tol: float = 1e-10,
-    guess_orbitals: np.ndarray | None = None,
+    system: ModelSystem, k: float | None = None, max_iter: int = 500, tol: float = 1e-10
 ) -> SCFResult:
     """Self-consistent fixed point of the density -> Fock -> density map at one momentum.
 
-    Pulay DIIS on the commutator error; convergence is declared when the
-    Frobenius norm of F P - P F, P the occupied-space projector, drops below
-    ``tol`` and the occupation passes the aufbau verdict of :func:`_scf`.
-    Non-convergence is reported through the result flags and residual history
-    rather than raised.  ``guess_orbitals`` that lead to an excited
-    self-consistent state (the verdict fails with the residual below ``tol``)
-    are dropped: the solve runs once more from the core-Hamiltonian guess.
+    Starts from the core-Hamiltonian orbitals.  Pulay DIIS on the commutator
+    error; convergence is declared when the Frobenius norm of F P - P F, P the
+    occupied-space projector, drops below ``tol`` and the occupation passes
+    the aufbau verdict of :func:`_scf`.  Non-convergence is reported through
+    the result flags and residual history rather than raised.
     """
-    res = _scf(system, [k], max_iter, tol, guess_orbitals)[0]
-    if guess_orbitals is not None and not res.converged and res.final_residual < tol:
-        res = _scf(system, [k], max_iter, tol)[0]
-    return res
+    return _scf(system, [k], max_iter, tol)[0]
 
 
 def _time_reversed(res: SCFResult, k: float) -> SCFResult:

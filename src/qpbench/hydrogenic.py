@@ -1,4 +1,4 @@
-"""Hydrogen-like basis functions and the charged vector-boson energy expansion.
+"""The charged vector-boson energy expansion and its asymptotic mass shift.
 
 The boson energy is the closed-form quasirelativistic series truncated at
 sixth order in the coupling; extrapolating twice its large-n limit recovers
@@ -8,10 +8,6 @@ the rest mass, which downstream code reads as the asymptotic mass shift.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
-
-from .model_system import BOX, Grid, laplacian_matrix
 
 
 @dataclass(frozen=True)
@@ -32,15 +28,6 @@ class BosonSpectrumParams:
             raise ValueError("principal quantum number must be >= 1")
         if self.k == 0:
             raise ValueError("quantum number k must be nonzero")
-
-
-@dataclass(frozen=True)
-class HydrogenicLevel:
-    """Ideal hydrogen-like level -Z^2/(2 n^2) with its n^2 degeneracy."""
-
-    n: int
-    energy: float
-    degeneracy: int
 
 
 def boson_energy(params: BosonSpectrumParams) -> float:
@@ -91,36 +78,3 @@ def mass_operator_limit(
     f01 = cubic_weight(0, 1)
     f12 = cubic_weight(1, 2)
     return (f12 * z01 - f01 * z12) / (f12 - f01)
-
-
-def hydrogenic_basis(
-    n_max: int, z: float, grid: Grid, softening: float = 1.0
-) -> tuple[np.ndarray, np.ndarray, list[HydrogenicLevel]]:
-    """Grid-sampled bound states of the softened attractive -Z/sqrt(x^2+s^2) well.
-
-    Returns the lowest ``n_max`` eigenfunctions orthonormalized by quadrature,
-    their numeric energies, and the ideal closed-form level ladder for
-    reference (the grid analog converges to its own soft-well limit, which is
-    reported rather than asserted against the ideal values).
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if z <= 0:
-        raise ValueError("charge parameter Z must be positive")
-    required = 0.2 / z
-    if grid.spacing > required:
-        raise ValueError(
-            f"grid under-resolves the 1/Z length scale: spacing {grid.spacing!r} "
-            f"exceeds the required {required!r}"
-        )
-    if n_max > grid.npoints:
-        raise ValueError("cannot request more basis functions than grid points")
-    potential = -z / np.sqrt(grid.points**2 + softening**2)
-    h = -0.5 * laplacian_matrix(grid, BOX) + np.diag(potential)
-    energies, vectors = np.linalg.eigh(h)
-    functions = vectors[:, :n_max] / np.sqrt(grid.spacing)
-    levels = [
-        HydrogenicLevel(n=n, energy=-z * z / (2.0 * n * n), degeneracy=n * n)
-        for n in range(1, n_max + 1)
-    ]
-    return functions, energies[:n_max], levels

@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -65,8 +64,9 @@ class NBodyWavefunction:
 
     ``determinants`` holds sorted spin-orbital index tuples; ``coefficients``
     the expansion amplitudes.  The amplitude attached to any permuted tuple is
-    the sorted-tuple coefficient times the permutation sign.  ``sz`` is the
-    total spin projection shared by every determinant.
+    the sorted-tuple coefficient times the permutation sign
+    (:meth:`amplitude_tensor`).  ``sz`` is the total spin projection shared by
+    every determinant.
     """
 
     n_electrons: int
@@ -75,24 +75,8 @@ class NBodyWavefunction:
     basis: OrbitalBasis
     sz: float
 
-    @cached_property
-    def _positions(self) -> dict:
-        return {det: pos for pos, det in enumerate(self.determinants)}
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.coefficients))
-
-    def amplitude(self, indices) -> complex:
-        """Signed coefficient of an (arbitrarily ordered) spin-orbital tuple."""
-        idx = tuple(indices)
-        if len(set(idx)) != len(idx):
-            return 0.0
-        order = tuple(np.argsort(idx, kind="stable"))
-        key = tuple(sorted(idx))
-        pos = self._positions.get(key)
-        if pos is None:
-            return 0.0
-        return _permutation_sign(order) * complex(self.coefficients[pos])
 
     def amplitude_tensor(self) -> np.ndarray:
         """First-quantized amplitudes A(p1..pN), unit norm over ordered tuples."""
@@ -143,14 +127,13 @@ def one_body_integrals(basis: OrbitalBasis, system: ModelSystem) -> np.ndarray:
     return basis.spacing * (phi.T @ h @ phi)
 
 
-def enumerate_determinants(n_spin_orbitals: int, n_electrons: int, sz: float | None = None):
-    """Sorted spin-orbital tuples in lexicographic order; optionally restricted to total Sz.
+def enumerate_determinants(n_spin_orbitals: int, n_electrons: int, sz: float):
+    """Sorted spin-orbital tuples of total spin projection ``sz``, in lexicographic order.
 
-    A fixed-Sz sector is the product of its alpha and beta strings, sorted; the
-    other sectors of the full space are never visited.
+    The sector is the product of its alpha and beta strings, sorted; the other
+    sectors of the full space are never visited.  An unreachable ``sz`` gives
+    no determinants.
     """
-    if sz is None:
-        return tuple(itertools.combinations(range(n_spin_orbitals), n_electrons))
     n_up = round(0.5 * n_electrons + sz)
     if not 0 <= n_up <= n_electrons or abs(n_up - 0.5 * n_electrons - sz) > 1e-12:
         return ()
@@ -256,7 +239,8 @@ def _excitation_matrix(ops: _StringOperators, m: int) -> np.ndarray:
 def ci_hamiltonian(dets, t: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Dense CI matrix <D_i|H|D_j> over sorted spin-orbital determinants, in their order.
 
-    Each Sz sector is built in the product basis of its alpha and beta
+    Every determinant must share one Sz sector; a list that mixes sectors is
+    rejected.  The sector is built in the product basis of its alpha and beta
     strings (Knowles & Handy, Chem. Phys. Lett. 111, 315 (1984); Olsen et al.,
     J. Chem. Phys. 89, 2185 (1988)):
 
@@ -265,26 +249,38 @@ def ci_hamiltonian(dets, t: np.ndarray, v: np.ndarray) -> np.ndarray:
     with E_ik = <I|a+_i a_k|J> a string matrix and H_a, H_b the same-spin
     Hamiltonians of :func:`_same_spin_hamiltonian`.  The opposite-spin sum is
     one GEMM, (a^2 x m^2)(m^2 x m^2)(m^2 x b^2) for a alpha and b beta strings
-    over m orbitals.  A determinant lists its spin orbitals interleaved (even
-    = up); reordering them into alpha-then-beta order passes every beta
-    orbital below each alpha orbital, so each determinant carries the sign
-    (-1)^(number of such pairs).  Elements between sectors are zero.
+    over m orbitals.  Each determinant carries the sign of reordering its
+    interleaved spin orbitals into alpha-then-beta order (:func:`_string_labels`).
     """
     n_det = len(dets)
     if n_det == 0:
         return np.zeros((0, 0))
     occupied = np.array(dets, dtype=np.intp).reshape(n_det, -1)
-    n, m = occupied.shape[1], t.shape[0]
-    n_up = np.count_nonzero(occupied & 1 == 0, axis=1)
-    sectors = sorted(set(n_up.tolist()))
-    ops = {k: _string_operators(m, k) for k in {*sectors, *(n - s for s in sectors)}}
+    m = t.shape[0]
+    alpha_counts = sorted(set(np.count_nonzero(occupied & 1 == 0, axis=1).tolist()))
+    if len(alpha_counts) > 1:
+        raise ValueError(
+            f"determinants span several Sz sectors (alpha electron counts {alpha_counts}); "
+            "build each sector on its own"
+        )
+    n_a = alpha_counts[0]
+    n_b = occupied.shape[1] - n_a
+    ops = {k: _string_operators(m, k) for k in {n_a, n_b}}
     same = {k: _same_spin_hamiltonian(ops[k], k, t, v) for k in ops}
-    if len(sectors) == 1:
-        return _sector_hamiltonian(occupied, ops, same, v)
-    h = np.zeros((n_det, n_det))
-    for k in sectors:
-        rows = np.flatnonzero(n_up == k)
-        h[np.ix_(rows, rows)] = _sector_hamiltonian(occupied[rows], ops, same, v)
+    a, b = same[n_a].shape[0], same[n_b].shape[0]
+    if n_a and n_b:
+        e = {k: _excitation_matrix(ops[k], m) for k in ops}
+        pair_v = v.transpose(0, 2, 1, 3).reshape(m * m, m * m)  # [(i, k), (j, l)]
+        string_h = (e[n_a] @ pair_v) @ e[n_b].T  # [(I_a, J_a), (I_b, J_b)]
+    else:
+        string_h = np.zeros((a * a, b * b))
+    string_h[:, :: b + 1] += same[n_a].reshape(-1, 1)
+    string_h[:: a + 1] += same[n_b].reshape(1, -1)
+    i_a, i_b, sign = _string_labels(occupied, m)
+    # element (d, e) sits at row (I_a(d), I_a(e)) and column (I_b(d), I_b(e))
+    h = np.take(string_h, (i_a * (a * b * b) + i_b * b)[:, None] + (i_a * (b * b) + i_b))
+    h *= sign[:, None]
+    h *= sign
     return h
 
 
@@ -302,30 +298,6 @@ def _string_labels(occupied: np.ndarray, m: int):
     beta = (occupied[~up] >> 1).reshape(n_det, n - n_a)
     sign = 1.0 - 2.0 * (np.count_nonzero(beta[:, None, :] < alpha[:, :, None], axis=(1, 2)) & 1)
     return _string_rank(alpha, m), _string_rank(beta, m), sign
-
-
-def _sector_hamiltonian(occupied, ops, same, v) -> np.ndarray:
-    """The CI matrix of determinants that share one Sz sector, in their order."""
-    n = occupied.shape[1]
-    m = v.shape[0]
-    n_a = int(np.count_nonzero(occupied[0] & 1 == 0))
-    n_b = n - n_a
-    a, b = same[n_a].shape[0], same[n_b].shape[0]
-    if n_a and n_b:
-        e_a = _excitation_matrix(ops[n_a], m)
-        e_b = e_a if n_b == n_a else _excitation_matrix(ops[n_b], m)
-        pair_v = v.transpose(0, 2, 1, 3).reshape(m * m, m * m)  # [(i, k), (j, l)]
-        string_h = (e_a @ pair_v) @ e_b.T  # [(I_a, J_a), (I_b, J_b)]
-    else:
-        string_h = np.zeros((a * a, b * b))
-    string_h[:, :: b + 1] += same[n_a].reshape(-1, 1)
-    string_h[:: a + 1] += same[n_b].reshape(1, -1)
-    i_a, i_b, sign = _string_labels(occupied, m)
-    # element (d, e) sits at row (I_a(d), I_a(e)) and column (I_b(d), I_b(e))
-    h = np.take(string_h, (i_a * (a * b * b) + i_b * b)[:, None] + (i_a * (b * b) + i_b))
-    h *= sign[:, None]
-    h *= sign
-    return h
 
 
 def _orbital_parity(basis: OrbitalBasis, t: np.ndarray, v: np.ndarray):

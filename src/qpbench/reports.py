@@ -21,10 +21,6 @@ _MARGIN = 56
 _FLOAT_FORMAT = "%.17g"
 
 
-def format_float(x: float) -> str:
-    return _FLOAT_FORMAT % float(x)
-
-
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}

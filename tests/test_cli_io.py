@@ -13,7 +13,7 @@ from qpbench.hydrogenic import BosonSpectrumParams, boson_energy
 from qpbench.model_system import build_soft_coulomb_system
 from qpbench.pipeline import STAGES, build_system, run_pipeline
 from qpbench.quasiparticle import QuasiparticleLevel
-from qpbench.reports import band_plot_svg, format_float, spectral_plot_svg, write_csv
+from qpbench.reports import band_plot_svg, spectral_plot_svg, write_csv
 
 
 CRYSTAL_CONFIG = {
@@ -75,6 +75,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="orbital_cutoff"):
             RunConfig.from_dict({"oracle": {"orbital_cutoff": 99}})
 
+    def test_oracle_cutoff_must_hold_the_electrons(self):
+        # four electrons at Sz = 0 fill two spatial orbitals; one leaves no determinant
+        raw = {"system": {"electrons": 4}, "oracle": {"orbital_cutoff": 1}}
+        with pytest.raises(ConfigError, match=r"oracle\.orbital_cutoff.*system\.electrons"):
+            RunConfig.from_dict(raw)
+        raw["oracle"]["orbital_cutoff"] = 2
+        assert RunConfig.from_dict(raw)["oracle"]["orbital_cutoff"] == 2
+        # two electrons share one orbital, and a disabled oracle needs none
+        RunConfig.from_dict({"system": {"electrons": 2}, "oracle": {"orbital_cutoff": 1}})
+        raw["oracle"] = {"enabled": False, "orbital_cutoff": 1}
+        RunConfig.from_dict(raw)
+
     def test_hash_stable_under_key_order(self):
         a = RunConfig.from_dict({"system": {"points": 12, "spacing": 0.5}})
         b = RunConfig.from_dict({"system": {"spacing": 0.5, "points": 12}})
@@ -92,9 +104,12 @@ class TestConfig:
 
 
 class TestReports:
-    def test_float_formatting_roundtrips(self):
+    def test_float_formatting_roundtrips(self, tmp_path):
         x = -0.72819598411624664
-        assert float(format_float(x)) == x
+        text = write_csv(tmp_path / "t.csv", {"x": [x]}, "h").read_text()
+        cell = text.splitlines()[3]
+        assert cell == "-0.72819598411624664"
+        assert float(cell) == x
 
     def test_csv_embeds_hash_and_version(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", {"a": [1.0]}, "deadbeef")
@@ -145,7 +160,7 @@ class TestReports:
         # the per-cell rule the batched columns replace
         expect = [
             ",".join(
-                format_float(c) if isinstance(c, (float, np.floating)) else str(c)
+                "%.17g" % c if isinstance(c, (float, np.floating)) else str(c)
                 for c in row
             )
             for row in rows
@@ -231,7 +246,7 @@ class TestPipeline:
         run_pipeline(config, tmp_path / "out")
         bands = band_structure(build_system(config))
         expect = [
-            f"{format_float(k)},{n},{format_float(bands.bands[n, i])},{bands.occupations[n]}"
+            "%.17g,%d,%.17g,%d" % (k, n, bands.bands[n, i], bands.occupations[n])
             for n in range(bands.n_bands)
             for i, k in enumerate(bands.kgrid)
         ]
@@ -242,7 +257,7 @@ class TestPipeline:
             for k in sp["k_values"]:
                 e1 = boson_energy(BosonSpectrumParams(sp["mass"], sp["gamma"], n, k))
                 cells = [sp["gamma"], sp["mass"], e1, 2.0 * e1]
-                expect.append(",".join([str(n), str(k)] + [format_float(c) for c in cells]))
+                expect.append(",".join([str(n), str(k)] + ["%.17g" % c for c in cells]))
         assert (tmp_path / "out" / "spectrum.csv").read_text().splitlines()[3:] == expect
 
     def test_stage_failure_degrades_but_keeps_outputs(self, tmp_path):
@@ -410,6 +425,25 @@ class TestCli:
         lines = (tmp_path / "out" / "bands.csv").read_text().splitlines()
         kvals = {line.split(",")[0] for line in lines if line[0] not in "#k"}
         assert len(kvals) == 4
+
+    @pytest.mark.parametrize(
+        "payload,flag,message",
+        [
+            ({"scf": 5}, "--tol=1e-8", "scf: expected a mapping, got 5"),
+            ({"scf": 5}, "--max-iter=3", "scf: expected a mapping, got 5"),
+            ({"system": [1]}, "--k-count=4", "system: expected a mapping, got [1]"),
+        ],
+        ids=["tol", "max-iter", "k-count"],
+    )
+    def test_override_of_a_non_mapping_section_is_a_config_error(
+        self, tmp_path, capsys, payload, flag, message
+    ):
+        cfg = self._write_config(tmp_path, payload)
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "out"), flag])
+        assert code == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"type": "ConfigError", "message": message}
+        assert not (tmp_path / "out").exists()
 
     def test_verify_prints_runtime_budget_outside_the_report(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(verification, "_CHECKS", (verification.check_energy_functional,))

@@ -7,10 +7,7 @@ from qpbench.density_matrix import (
     determinant_density_matrices,
     energy_from_density_matrices,
     hf_decomposition,
-    pure_state_projector,
-    spin_zero_density,
     trace_energy_identity,
-    Projector,
 )
 from qpbench.hartree_fock import scf_solve
 from qpbench.many_body import (
@@ -38,30 +35,38 @@ def hf2(well2):
 
 
 class TestPureStateProjector:
+    """The band projector |v><v| of one state, and its trace against an operator."""
+
     def test_basis_vector(self):
-        rho = pure_state_projector(np.array([1.0, 0.0, 0.0]))
+        proj = band_projector(np.array([1.0, 0.0, 0.0]))
         expect = np.zeros((3, 3))
         expect[0, 0] = 1.0
-        assert np.array_equal(rho.matrix, expect)
+        assert np.array_equal(proj.matrix, expect)
+        op = np.arange(9.0).reshape(3, 3)
+        assert proj.trace_with(op) == op[0, 0]
 
     def test_equal_superposition(self):
         v = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        rho = pure_state_projector(v)
-        assert np.max(np.abs(rho.matrix - 0.5)) < 1e-15
+        proj = band_projector(v)
+        assert np.max(np.abs(proj.matrix - 0.5)) < 1e-15
+        # <v|op|v> averages every element
+        op = np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert proj.trace_with(op) == pytest.approx(5.0, abs=1e-15)
 
     def test_random_vector_idempotent(self):
         rng = np.random.default_rng(5)
         v = rng.normal(size=7) + 1j * rng.normal(size=7)
         v /= np.linalg.norm(v)
-        rho = pure_state_projector(v)
-        product = rho.matrix @ rho.matrix  # direct multiply oracle
-        assert np.max(np.abs(product - rho.matrix)) < 1e-12
-        assert rho.trace() == pytest.approx(1.0, abs=1e-12)
-        assert rho.hermiticity_error() < 1e-12
-
-    def test_unnormalized_rejected(self):
-        with pytest.raises(ValueError, match="normalized"):
-            pure_state_projector(np.array([1.0, 1.0]))
+        proj = band_projector(v)
+        m = proj.matrix
+        product = m @ m  # direct multiply oracle
+        assert np.max(np.abs(product - m)) < 1e-12
+        # tr(P op) by the dense trace, for the identity and a complex operator
+        assert proj.trace_with(np.eye(7)) == pytest.approx(1.0, abs=1e-12)
+        op = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+        assert proj.trace_with(op) == pytest.approx(np.trace(m @ op), abs=1e-12)
+        with pytest.raises(ValueError, match="dimension"):
+            proj.trace_with(np.eye(6))
 
 
 class TestBandProjectors:
@@ -73,13 +78,6 @@ class TestBandProjectors:
         m = proj.matrix
         assert np.max(np.abs(np.outer(v, v.conj()) - m)) < 1e-14
         assert np.max(np.abs(m @ m - m)) < 1e-10
-
-    def test_cross_band_projector_is_nilpotent(self):
-        # orthonormal band pair: the squared off-diagonal projector vanishes
-        basis = np.linalg.qr(np.random.default_rng(9).normal(size=(5, 2)))[0]
-        proj = Projector(ket_vector=basis[:, 1], bra_vector=basis[:, 0])
-        square = proj.matrix @ proj.matrix
-        assert np.max(np.abs(square)) < 1e-10
 
 
 class TestEnergyFunctional:
@@ -136,7 +134,7 @@ class TestEnergyFunctional:
         h = h + h.conj().T
         psi = rng.normal(size=6) + 1j * rng.normal(size=6)
         psi /= np.linalg.norm(psi)
-        rho1 = pure_state_projector(psi)
+        rho1 = DensityMatrix(order=1, n_electrons=1, matrix=np.outer(psi, psi.conj()), dim_single=6)
         expect = float(np.real(psi.conj() @ h @ psi))
         assert abs(expect - float(np.real(psi @ h @ psi.conj()))) > 1e-3
         zero = np.zeros((6, 6))
@@ -201,7 +199,8 @@ class TestSpinZeroDensity:
     def test_matches_determinant_one_matrix(self, well2, hf2):
         w = well2.grid.spacing
         rho1, _ = determinant_density_matrices(hf2.orbitals[:, :1], 2, w)
-        kernel = spin_zero_density(hf2.orbitals[:, :1])
+        phi = hf2.orbitals[:, :1]
+        kernel = phi @ phi.conj().T
         # the spin-summed one-matrix is twice the per-spin construction
         assert np.max(np.abs(rho1.matrix - 2.0 * kernel)) < 1e-10
 

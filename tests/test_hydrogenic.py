@@ -3,12 +3,9 @@ import pytest
 
 from qpbench.hydrogenic import (
     BosonSpectrumParams,
-    HydrogenicLevel,
     boson_energy,
-    hydrogenic_basis,
     mass_operator_limit,
 )
-from qpbench.model_system import make_grid
 
 
 class TestBosonEnergy:
@@ -99,51 +96,3 @@ class TestMassOperatorLimit:
         with pytest.raises(ValueError, match="increasing"):
             mass_operator_limit(1.0, 0.1, 1, [10, 10, 100])
 
-
-class TestHydrogenicBasis:
-    def test_orthonormal_by_quadrature(self):
-        grid = make_grid(240, 0.15)
-        functions, _, _ = hydrogenic_basis(4, 1.0, grid)
-        overlap = functions.T @ functions * grid.spacing
-        off = overlap - np.eye(4)
-        assert np.max(np.abs(off)) < 1e-10
-
-    def test_levels_ordered_and_bound(self):
-        grid = make_grid(240, 0.15)
-        _, numeric, levels = hydrogenic_basis(3, 1.0, grid)
-        assert np.all(np.diff(numeric) > 0)
-        assert numeric[0] < 0  # ground state is bound
-        assert [lvl.energy for lvl in levels] == [-0.5, -0.125, -1.0 / 18.0]
-        assert [lvl.degeneracy for lvl in levels] == [1, 4, 9]
-
-    def test_self_convergence_under_refinement(self):
-        coarse = make_grid(200, 0.12)
-        fine = make_grid(400, 0.06)
-        _, e_coarse, _ = hydrogenic_basis(3, 1.0, coarse)
-        _, e_fine, _ = hydrogenic_basis(3, 1.0, fine)
-        assert np.max(np.abs(e_coarse - e_fine)) < 1e-4
-
-    def test_under_resolved_grid_rejected_with_requirement(self):
-        grid = make_grid(32, 0.5)
-        with pytest.raises(ValueError, match="required"):
-            hydrogenic_basis(2, 2.0, grid)
-
-    def test_level_formula_tracks_charge(self):
-        grid = make_grid(320, 0.09)
-        _, _, levels = hydrogenic_basis(3, 2.0, grid)
-        for lvl in levels:
-            assert lvl.energy == pytest.approx(-4.0 / (2.0 * lvl.n**2))
-            assert lvl.degeneracy == lvl.n**2
-
-    def test_usable_as_scf_starting_basis(self):
-        # the returned columns are quadrature-normalized, exactly what the
-        # mean-field solver accepts as a starting guess
-        from qpbench.hartree_fock import scf_solve
-        from qpbench.model_system import build_soft_coulomb_system
-
-        system = build_soft_coulomb_system((64, 0.15), 1.0, 1.0, 2, "box")
-        functions, _, _ = hydrogenic_basis(1, 1.0, system.grid)
-        seeded = scf_solve(system, guess_orbitals=functions)
-        default = scf_solve(system)
-        assert seeded.converged
-        assert seeded.energy == pytest.approx(default.energy, abs=1e-9)

@@ -83,23 +83,24 @@ class TestWavefunction:
         _, state = full_ci_ground_state(well2, orbital_cutoff=6)
         assert abs(state.norm() - 1.0) < 1e-12
 
-    def test_amplitudes_antisymmetric_under_transposition(self, well2):
-        _, state = full_ci_ground_state(well2, orbital_cutoff=6)
-        rng = np.random.default_rng(3)
-        checked = 0
-        for det in state.determinants:
-            if abs(state.amplitude(det)) < 1e-12:
-                continue
-            swapped = (det[1], det[0])
-            assert state.amplitude(swapped) == pytest.approx(
-                -state.amplitude(det), rel=1e-12
-            )
-            checked += 1
-            if checked >= 10:
-                break
-        assert checked > 0
-        # repeated index annihilates
-        assert state.amplitude((3, 3)) == 0.0
+    def test_amplitudes_antisymmetric_under_transposition(self):
+        for n_elec, cutoff in ((2, 6), (3, 4), (4, 3)):
+            system = build_soft_coulomb_system((12, 0.5), 2.0, 1.0, n_elec, BOX)
+            _, state = full_ci_ground_state(system, orbital_cutoff=cutoff)
+            amp = state.amplitude_tensor()
+            # each sorted determinant carries its coefficient over sqrt(N!), and
+            # its N! orderings are the only other nonzero entries
+            scale = math.sqrt(math.factorial(n_elec))
+            for det, c in zip(state.determinants, state.coefficients):
+                assert amp[det] == pytest.approx(c / scale, rel=1e-15, abs=0)
+            nonzero = np.count_nonzero(state.coefficients)
+            assert nonzero > 1
+            assert np.count_nonzero(amp) == math.factorial(n_elec) * nonzero
+            for a, b in itertools.combinations(range(n_elec), 2):
+                # swapping two electrons negates every amplitude
+                assert np.array_equal(np.swapaxes(amp, a, b), -amp)
+                # and a repeated spin orbital annihilates
+                assert not np.any(np.diagonal(amp, axis1=a, axis2=b))
 
     def test_tensor_norm_is_one(self, well2):
         _, state = full_ci_ground_state(well2, orbital_cutoff=5)
@@ -179,8 +180,10 @@ class TestSlaterCondonAgainstDenseHamiltonian:
         # sandwich it between explicitly antisymmetrized amplitude tensors.
         # N = 3 checks the single-excitation sign with spectator electrons;
         # N = 4 puts two electrons of each spin behind the alpha/beta reordering
-        # sign and the same-spin pair term of the string build.
-        for n_elec, sz in ((2, None), (3, 0.5), (4, None), (4, 0.0)):
+        # sign and the same-spin pair term of the string build.  Every nonempty
+        # sector of N = 2 and N = 4 in three orbitals is covered.
+        cases = [(2, -1.0), (2, 0.0), (2, 1.0), (3, 0.5), (4, -1.0), (4, 0.0), (4, 1.0)]
+        for n_elec, sz in cases:
             system = build_soft_coulomb_system((10, 0.5), 1.5, 1.0, n_elec, BOX)
             t, v = integrals(system, 3)
             t_so, v_so = spin_orbital_integrals(t, v)
@@ -215,23 +218,19 @@ class TestSlaterCondonAgainstDenseHamiltonian:
     def test_matrix_matches_per_pair_loop_in_every_sector(self, n_elec):
         system = build_soft_coulomb_system((12, 0.5), 2.0, 1.0, n_elec, BOX)
         t, v = integrals(system, 4)
-        sectors = [None] + [0.5 * k for k in range(-n_elec, n_elec + 1, 2)]
-        for sz in sectors:
+        for sz in [0.5 * k for k in range(-n_elec, n_elec + 1, 2)]:
             dets = enumerate_determinants(8, n_elec, sz=sz)
             expect = loop_hamiltonian(dets, t, v)
             assert np.max(np.abs(ci_hamiltonian(dets, t, v) - expect)) < 1e-13
 
-    def test_mixed_sz_list_is_block_diagonal(self):
+    def test_mixed_sz_list_is_rejected(self):
         system = build_soft_coulomb_system((12, 0.5), 2.0, 1.0, 4, BOX)
         t, v = integrals(system, 5)
-        dets = enumerate_determinants(10, 4)
-        whole = ci_hamiltonian(dets, t, v)
-        sz = np.array([sum(0.5 if p % 2 == 0 else -0.5 for p in det) for det in dets])
-        for value in np.unique(sz):
-            rows = np.flatnonzero(sz == value)
-            block = ci_hamiltonian([dets[r] for r in rows], t, v)
-            assert np.array_equal(whole[np.ix_(rows, rows)], block)
-        assert np.all(whole[sz[:, None] != sz[None, :]] == 0.0)
+        whole = tuple(itertools.combinations(range(10), 4))
+        two = enumerate_determinants(10, 4, sz=0.0) + enumerate_determinants(10, 4, sz=1.0)
+        for dets in (whole, two, two[-1:] + two[:1]):
+            with pytest.raises(ValueError, match="several Sz sectors"):
+                ci_hamiltonian(dets, t, v)
 
 
 def eigh_pair(h):
@@ -560,7 +559,7 @@ class TestSpinSector:
     def test_default_sector_holds_the_full_space_ground_state(self, n_elec):
         system = build_soft_coulomb_system((12, 0.5), 2.0, 1.0, n_elec, BOX)
         t, v = integrals(system, 4)
-        full = loop_hamiltonian(enumerate_determinants(8, n_elec), t, v)
+        full = loop_hamiltonian(tuple(itertools.combinations(range(8), n_elec)), t, v)
         energy, state = full_ci_ground_state(system, orbital_cutoff=4)
         assert energy == pytest.approx(np.linalg.eigvalsh(full)[0], abs=1e-12)
         assert state.sz == 0.5 * (n_elec % 2)

@@ -9,7 +9,13 @@ from pathlib import Path
 import qpbench
 
 PACKAGE = Path(qpbench.__file__).parent
-SPANS = PACKAGE.parents[1] / "perfbench" / "spans.py"
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
+TESTS = Path(__file__).parent
+
+# public names that only tests call: the independent routes the SCF tests
+# compare the solver against
+TEST_REFERENCE_ROUTES = ("build_fock", "hf_total_energy")
 
 
 def _unused_imports(path: Path) -> list:
@@ -36,8 +42,8 @@ def test_no_unused_module_level_imports():
     assert unused == []
 
 
-def _private_definitions(tree: ast.Module) -> dict:
-    """Module-level ``_function``, ``_Class`` and ``_CONSTANT`` names, with their lines."""
+def _module_definitions(tree: ast.Module) -> dict:
+    """Module-level function, class and constant names, with their lines."""
     defined = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -48,35 +54,76 @@ def _private_definitions(tree: ast.Module) -> dict:
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
+            if not name.startswith("__"):
                 defined[name] = node.lineno
     return defined
 
 
-def test_every_module_level_private_name_is_read():
-    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in PACKAGE.glob("*.py")}
+def _read_names(trees) -> set:
+    """Every name the trees load, bare or as an attribute (``module.name``)."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
-            elif isinstance(node, ast.Attribute):  # module._name
+            elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+    return read
+
+
+def _parse_all(paths) -> dict:
+    return {path: ast.parse(path.read_text(), filename=str(path)) for path in sorted(paths)}
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_module_level_private_name_is_read():
+    trees = _parse_all(PACKAGE.glob("*.py"))
+    read = _read_names(trees.values())
     unread = [
         f"{path.name}:{line} {name}"
-        for path, tree in sorted(trees.items())
-        for name, line in _private_definitions(tree).items()
-        if name not in read
+        for path, tree in trees.items()
+        for name, line in _module_definitions(tree).items()
+        if name.startswith("_") and name not in read
     ]
     assert unread == []
+
+
+def test_every_public_name_has_a_caller():
+    # a caller is the package itself or the benchmark, never a test; the
+    # tracer reaches the functions it patches by their LAYERS keys
+    trees = _parse_all(PACKAGE.glob("*.py"))
+    bench = _parse_all(p for p in PERFBENCH.glob("*.py") if not p.name.startswith("test_"))
+    read = _read_names([*trees.values(), *bench.values()])
+    read.update(name for _, name in _load_spans().LAYERS)
+    uncalled = [
+        f"{path.name}:{line} {name}"
+        for path, tree in trees.items()
+        for name, line in _module_definitions(tree).items()
+        if not name.startswith("_") and name not in read and name not in TEST_REFERENCE_ROUTES
+    ]
+    assert uncalled == []
+    # an exempt route is still one: no program calls it, and some test imports it
+    assert read.isdisjoint(TEST_REFERENCE_ROUTES)
+    imported = {
+        alias.name
+        for tree in _parse_all(TESTS.glob("test_*.py")).values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("qpbench")
+        for alias in node.names
+    }
+    assert set(TEST_REFERENCE_ROUTES) <= imported
 
 
 def test_every_traced_function_exists():
     # the tracer logs a missing function and reads its layer time as 0, so a
     # rename in the package would otherwise pass the benchmark unnoticed
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _load_spans()
     assert spans.LAYERS
     missing = [
         f"{module}.{name}"
