@@ -8,6 +8,7 @@ machine-readable error record to stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -26,7 +27,9 @@ EXIT_CONFIG = 2
 EXIT_DEGRADED = 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qpbench",
         description="Desk-scale quasiparticle workbench on 1D model systems",

@@ -5,17 +5,20 @@ ground-truth oracle for density matrices, energies and mean-field comparisons.
 Spin is bookkept through explicit spin-orbital indices (even = up, odd = down)
 so antisymmetry checks stay direct.  A determinant with fixed Sz factors into
 an alpha string and a beta string (the sorted spatial orbitals of each spin).
-The dense CI matrix of a sector is built in that string-product basis from
-single-replacement string operators and mapped back to the determinants, each
-taking the sign of reordering its interleaved spin orbitals into
-alpha-then-beta order.  H keeps spin flip (at Sz = 0) and, when the orbitals
-and integrals show it, reflection parity; a sector of at least
-``_DAVIDSON_MIN_DETERMINANTS`` determinants is split into those symmetry
-blocks.  A Davidson loop finds the lowest eigenpair of the block with the
-lowest diagonal element and certifies it by a Cholesky factorization, and a
+The CI matrix of a sector is built in that string-product basis from
+single-replacement string operators; an element between two determinants is
+gathered from it, each determinant taking the sign of reordering its
+interleaved spin orbitals into alpha-then-beta order.  H keeps spin flip (at
+Sz = 0) and, when the orbitals and integrals show it, reflection parity; a
+sector of at least ``_DAVIDSON_MIN_DETERMINANTS`` determinants is split into
+those symmetry blocks, each gathered straight from the string products.  A
+Davidson loop finds the lowest eigenpair of the block with the lowest
+diagonal element and certifies it by a Cholesky factorization, and a
 Cholesky factor of every other block proves that no block holds a lower
-level.  A full ``eigh`` of the sector is the fallback, and the only route for
-smaller sectors.
+level.  The dense sector matrix is formed only for smaller sectors and for
+the full ``eigh`` that is the fallback.  Reduced density matrices of every
+order come from annihilation strings: a_pn ... a_p1 |Psi> for each ordered
+tuple p, over the (N - n)-electron strings.
 """
 
 from __future__ import annotations
@@ -62,11 +65,10 @@ class OrbitalBasis:
 class NBodyWavefunction:
     """Antisymmetric N-electron state expanded over spin-orbital determinants.
 
-    ``determinants`` holds sorted spin-orbital index tuples; ``coefficients``
-    the expansion amplitudes.  The amplitude attached to any permuted tuple is
-    the sorted-tuple coefficient times the permutation sign
-    (:meth:`amplitude_tensor`).  ``sz`` is the total spin projection shared by
-    every determinant.
+    ``determinants`` holds sorted spin-orbital index tuples, each standing for
+    a+_p1 ... a+_pN |0> with p1 < ... < pN; ``coefficients`` the expansion
+    amplitudes.  ``sz`` is the total spin projection shared by every
+    determinant.
     """
 
     n_electrons: int
@@ -77,30 +79,6 @@ class NBodyWavefunction:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coefficients))
-
-    def amplitude_tensor(self) -> np.ndarray:
-        """First-quantized amplitudes A(p1..pN), unit norm over ordered tuples."""
-        n = self.n_electrons
-        m = 2 * self.basis.size
-        dets = np.array(self.determinants, dtype=int).reshape(len(self.determinants), n)
-        tensor = np.zeros((m,) * n, dtype=complex)
-        scale = 1.0 / math.sqrt(math.factorial(n))
-        for perm in itertools.permutations(range(n)):
-            sign = _permutation_sign(perm)
-            cols = tuple(dets[:, p] for p in perm)
-            tensor[cols] = sign * scale * self.coefficients
-        return tensor
-
-
-def _permutation_sign(perm) -> int:
-    perm = list(perm)
-    sign = 1
-    for i in range(len(perm)):
-        while perm[i] != i:
-            j = perm[i]
-            perm[i], perm[j] = perm[j], perm[i]
-            sign = -sign
-    return sign
 
 
 def orbital_basis(system: ModelSystem, cutoff: int) -> OrbitalBasis:
@@ -117,8 +95,9 @@ def two_body_integrals(basis: OrbitalBasis, v_kernel: np.ndarray) -> np.ndarray:
     """Spatial Coulomb tensor <pq|v|rs> with electron 1 in p->r, electron 2 in q->s."""
     phi = basis.functions
     w = basis.spacing
-    pair = np.einsum("ip,ir->ipr", phi, phi)
-    return w * w * np.einsum("ipr,ij,jqs->pqrs", pair, v_kernel, pair)
+    g, m = phi.shape
+    pair = (phi[:, :, None] * phi[:, None, :]).reshape(g, m * m)  # [x, (p, r)]
+    return (w * w * (pair.T @ v_kernel @ pair)).reshape(m, m, m, m).transpose(0, 2, 1, 3)
 
 
 def one_body_integrals(basis: OrbitalBasis, system: ModelSystem) -> np.ndarray:
@@ -152,8 +131,9 @@ def _strings(m: int, n: int) -> np.ndarray:
     Rows hold ascending orbital indices, in lexicographic order, so row I is
     the string of rank I (see :func:`_string_rank`).
     """
-    combos = list(itertools.combinations(range(m), n))
-    return np.array(combos, dtype=np.intp).reshape(len(combos), n)
+    count = math.comb(m, n)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(m), n))
+    return np.fromiter(flat, dtype=np.intp, count=count * n).reshape(count, n)
 
 
 def _string_rank(strings: np.ndarray, m: int) -> np.ndarray:
@@ -240,22 +220,32 @@ def ci_hamiltonian(dets, t: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Dense CI matrix <D_i|H|D_j> over sorted spin-orbital determinants, in their order.
 
     Every determinant must share one Sz sector; a list that mixes sectors is
-    rejected.  The sector is built in the product basis of its alpha and beta
-    strings (Knowles & Handy, Chem. Phys. Lett. 111, 315 (1984); Olsen et al.,
-    J. Chem. Phys. 89, 2185 (1988)):
-
-        H = H_a x 1 + 1 x H_b + sum_ijkl v_ijkl E^a_ik x E^b_jl,
-
-    with E_ik = <I|a+_i a_k|J> a string matrix and H_a, H_b the same-spin
-    Hamiltonians of :func:`_same_spin_hamiltonian`.  The opposite-spin sum is
-    one GEMM, (a^2 x m^2)(m^2 x m^2)(m^2 x b^2) for a alpha and b beta strings
-    over m orbitals.  Each determinant carries the sign of reordering its
-    interleaved spin orbitals into alpha-then-beta order (:func:`_string_labels`).
+    rejected.  The elements are gathered from the string-product matrix of
+    :func:`_sector_entries`.
     """
     n_det = len(dets)
     if n_det == 0:
         return np.zeros((0, 0))
-    occupied = np.array(dets, dtype=np.intp).reshape(n_det, -1)
+    everything = np.arange(n_det)
+    return _sector_entries(dets, t, v)(everything, everything)
+
+
+def _sector_entries(dets, t: np.ndarray, v: np.ndarray):
+    """Reader entries(rows, cols) of the CI matrix of a one-sector determinant list.
+
+    The sector is built in the product basis of its alpha and beta strings
+    (Knowles & Handy, Chem. Phys. Lett. 111, 315 (1984); Olsen et al.,
+    J. Chem. Phys. 89, 2185 (1988)), by :func:`_string_hamiltonian`.  The
+    reader gathers H[rows][:, cols] from it,
+
+        H[d, e] = string_h[I_a(d), I_a(e), I_b(d), I_b(e)] s(d) s(e),
+
+    with I_a, I_b the string ranks of each determinant and s the sign of
+    reordering its interleaved spin orbitals into alpha-then-beta order
+    (:func:`_string_labels`).  The indices broadcast, so no index array of
+    the size of the result is formed.
+    """
+    occupied = np.array(dets, dtype=np.intp).reshape(len(dets), -1)
     m = t.shape[0]
     alpha_counts = sorted(set(np.count_nonzero(occupied & 1 == 0, axis=1).tolist()))
     if len(alpha_counts) > 1:
@@ -264,7 +254,29 @@ def ci_hamiltonian(dets, t: np.ndarray, v: np.ndarray) -> np.ndarray:
             "build each sector on its own"
         )
     n_a = alpha_counts[0]
-    n_b = occupied.shape[1] - n_a
+    string_h = _string_hamiltonian(m, n_a, occupied.shape[1] - n_a, t, v)
+    i_a, i_b, sign = _string_labels(occupied, m)
+
+    def entries(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        r = rows[:, None]
+        h = string_h[i_a[r], i_a[cols], i_b[r], i_b[cols]]
+        h *= sign[r]
+        h *= sign[cols]
+        return h
+
+    return entries
+
+
+def _string_hamiltonian(m: int, n_a: int, n_b: int, t: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """H[I_a, J_a, I_b, J_b] in the product basis of alpha and beta strings.
+
+        H = H_a x 1 + 1 x H_b + sum_ijkl v_ijkl E^a_ik x E^b_jl,
+
+    with E_ik = <I|a+_i a_k|J> a string matrix and H_a, H_b the same-spin
+    Hamiltonians of :func:`_same_spin_hamiltonian`.  The opposite-spin sum is
+    one GEMM, (a^2 x m^2)(m^2 x m^2)(m^2 x b^2) for a alpha and b beta strings
+    over m orbitals.
+    """
     ops = {k: _string_operators(m, k) for k in {n_a, n_b}}
     same = {k: _same_spin_hamiltonian(ops[k], k, t, v) for k in ops}
     a, b = same[n_a].shape[0], same[n_b].shape[0]
@@ -276,12 +288,7 @@ def ci_hamiltonian(dets, t: np.ndarray, v: np.ndarray) -> np.ndarray:
         string_h = np.zeros((a * a, b * b))
     string_h[:, :: b + 1] += same[n_a].reshape(-1, 1)
     string_h[:: a + 1] += same[n_b].reshape(1, -1)
-    i_a, i_b, sign = _string_labels(occupied, m)
-    # element (d, e) sits at row (I_a(d), I_a(e)) and column (I_b(d), I_b(e))
-    h = np.take(string_h, (i_a * (a * b * b) + i_b * b)[:, None] + (i_a * (b * b) + i_b))
-    h *= sign[:, None]
-    h *= sign
-    return h
+    return string_h.reshape(a, a, b, b)
 
 
 def _string_labels(occupied: np.ndarray, m: int):
@@ -376,11 +383,13 @@ def _symmetry_blocks(dets, m: int, parity) -> list:
     return blocks
 
 
-def _block_matrix(h: np.ndarray, block: _Block) -> np.ndarray:
-    """<u_j|H|u_k> = 2 w_j w_k (H[r_j, r_k] + phase_k H[r_j, r'_k]) when F H F = H."""
-    picked = h[block.rows]
-    b = np.take(picked, block.rows, axis=1)
-    b += np.take(picked, block.partners, axis=1) * block.phase
+def _block_matrix(entries, block: _Block) -> np.ndarray:
+    """<u_j|H|u_k> = 2 w_j w_k (H[r_j, r_k] + phase_k H[r_j, r'_k]) when F H F = H.
+
+    ``entries(rows, cols)`` reads H[rows][:, cols] (:func:`_sector_entries`).
+    """
+    b = entries(block.rows, block.rows)
+    b += entries(block.rows, block.partners) * block.phase
     b *= 2.0 * np.outer(block.weight, block.weight)
     return b
 
@@ -393,28 +402,34 @@ def _unblock(block: _Block, y: np.ndarray, n: int) -> np.ndarray:
     return x
 
 
-def _lowest_eigenpair(h: np.ndarray, blocks: list) -> tuple[float, np.ndarray]:
-    """Lowest eigenvalue and unit eigenvector of ``h``, certified block by block.
+def _lowest_eigenpair(entries, n: int, blocks: list) -> tuple[float, np.ndarray]:
+    """Lowest eigenvalue and unit eigenvector of an n x n H, certified block by block.
 
-    ``blocks`` are the symmetry blocks of ``h`` (:func:`_symmetry_blocks`).
-    The block with the lowest diagonal element runs :func:`_davidson`, which
-    certifies its pair (theta, y) as that block's lowest, separated from the
-    block's next level by ``_DAVIDSON_MIN_GAP``.  Every other block B must
-    then have a Cholesky factor of B - (theta + gap) I, so all its eigenvalues
-    lie above theta + gap.  Together these prove theta the lowest eigenvalue
-    of the blocked operator, with a unique eigenvector.  With no blocks, or
-    when any certificate fails, a full ``eigh`` of ``h`` gives the pair.
+    ``entries(rows, cols)`` reads H[rows][:, cols], and ``blocks`` are the
+    symmetry blocks of H (:func:`_symmetry_blocks`).  The block with the
+    lowest diagonal element runs :func:`_davidson`, which certifies its pair
+    (theta, y) as that block's lowest, separated from the block's next level
+    by ``_DAVIDSON_MIN_GAP``.  Every other block B must then have a Cholesky
+    factor of B - (theta + gap) I, so all its eigenvalues lie above
+    theta + gap.  Together these prove theta the lowest eigenvalue of the
+    blocked operator, with a unique eigenvector.  When any certificate fails,
+    a full ``eigh`` of the dense H gives the pair.
     """
-    if blocks:
-        matrices = [_block_matrix(h, block) for block in blocks]
-        ground = int(np.argmin([np.min(np.diagonal(b)) for b in matrices]))
-        pair = _davidson(matrices[ground])
-        if pair is not None and all(
-            _exceeds(b, pair[0] + _DAVIDSON_MIN_GAP)
-            for j, b in enumerate(matrices)
-            if j != ground
-        ):
-            return pair[0], _unblock(blocks[ground], pair[1], h.shape[0])
+    matrices = [_block_matrix(entries, block) for block in blocks]
+    ground = int(np.argmin([np.min(np.diagonal(b)) for b in matrices]))
+    pair = _davidson(matrices[ground])
+    if pair is not None and all(
+        _exceeds(b, pair[0] + _DAVIDSON_MIN_GAP)
+        for j, b in enumerate(matrices)
+        if j != ground
+    ):
+        return pair[0], _unblock(blocks[ground], pair[1], n)
+    everything = np.arange(n)
+    return _eigh_lowest(entries(everything, everything))
+
+
+def _eigh_lowest(h: np.ndarray) -> tuple[float, np.ndarray]:
+    """Lowest eigenvalue and its unit eigenvector, by a full ``eigh``."""
     eigvals, eigvecs = np.linalg.eigh(h)
     return float(eigvals[0]), eigvecs[:, 0]
 
@@ -492,8 +507,9 @@ def full_ci_ground_state(
     by spin flip and orbital parity (:func:`_symmetry_blocks`), and the pair
     comes from :func:`_lowest_eigenpair`: a certified Davidson loop on the
     block with the lowest diagonal element and a Cholesky factor of every
-    other block.  Smaller sectors, and every sector where a certificate fails,
-    take a full ``eigh``.  The overall sign makes
+    other block, each block gathered from the string products.  Smaller
+    sectors, and every sector where a certificate fails, form the dense
+    sector matrix and take a full ``eigh``.  The overall sign makes
     the largest-magnitude coefficient positive.  The energy is variational: it
     can only decrease when ``orbital_cutoff`` grows.  Only determinants of
     total spin projection ``sz`` enter (e.g. ``sz=1.0`` for two aligned
@@ -519,10 +535,11 @@ def full_ci_ground_state(
         raise ValueError("no determinants satisfy the requested spin projection")
     t = one_body_integrals(basis, system)
     v = two_body_integrals(basis, system.interaction_kernel)
-    blocks = []
-    if len(dets) >= _DAVIDSON_MIN_DETERMINANTS:
+    if len(dets) < _DAVIDSON_MIN_DETERMINANTS:
+        energy, coeff = _eigh_lowest(ci_hamiltonian(dets, t, v))
+    else:
         blocks = _symmetry_blocks(dets, basis.size, _orbital_parity(basis, t, v))
-    energy, coeff = _lowest_eigenpair(ci_hamiltonian(dets, t, v), blocks)
+        energy, coeff = _lowest_eigenpair(_sector_entries(dets, t, v), len(dets), blocks)
     # fix the overall phase for reproducibility
     pivot = int(np.argmax(np.abs(coeff)))
     if coeff[pivot] < 0:
@@ -538,30 +555,49 @@ def full_ci_ground_state(
 
 
 def exact_reduced_density_matrix(state: NBodyWavefunction, order: int) -> DensityMatrix:
-    """Order-n reduced matrix by direct contraction over the remaining coordinates.
+    """Order-n reduced matrix rho[p, q] = <Psi|a+_q1 ... a+_qn a_pn ... a_p1|Psi>.
 
-    Carries the N!/(N-n)! prefactor, so the trace over ordered spin-orbital
-    tuples reproduces that normalization.
+    Rows and columns run over ordered spin-orbital tuples p = (p1, ..., pn),
+    p1 slowest.  Row p of D holds D_p = a_pn ... a_p1 |Psi> over the
+    (N - n)-electron strings, and rho = D D^H.  This equals the
+    first-quantized contraction over the remaining N - n coordinates with the
+    N!/(N-n)! prefactor, so the trace over ordered tuples reproduces that
+    normalization.
     """
     n = state.n_electrons
     if not 1 <= order <= n:
         raise ValueError(f"order must lie in [1, {n}], got {order}")
     m = 2 * state.basis.size
     check_matrix_size(m, order)
-    amp = state.amplitude_tensor()
-    kept = order
-    contracted_axes = tuple(range(kept, n))
-    rho = np.tensordot(amp, amp.conj(), axes=(contracted_axes, contracted_axes))
-    prefactor = math.factorial(n) / math.factorial(n - order)
-    dim = m**order
+    occupied = np.array(state.determinants, dtype=np.intp).reshape(len(state.determinants), n)
+    d = np.zeros((1, math.comb(m, n)), dtype=complex)
+    d[0, _string_rank(occupied, m)] = state.coefficients
+    for remaining in range(n, n - order, -1):
+        d = _annihilate(d, m, remaining)
     return DensityMatrix(
         order=order,
         n_electrons=n,
-        matrix=prefactor * rho.reshape(dim, dim),
+        matrix=d @ d.conj().T,
         dim_single=m,
         weight=1.0,
         basis=ORBITAL,
     )
+
+
+def _annihilate(d: np.ndarray, m: int, k: int) -> np.ndarray:
+    """Apply a_p for every p to each row of ``d``, a state over k-electron strings.
+
+    Row j of the result is row j // m of ``d`` acted on by a_(j % m), over
+    the (k - 1)-electron strings of m orbitals.  Removing the orbital at
+    position i of a string passes the i orbitals before it: sign (-1)^i.
+    """
+    strings = _strings(m, k)
+    rest = np.array([[j for j in range(k) if j != i] for i in range(k)], dtype=np.intp)
+    target = _string_rank(strings[:, rest], m)  # (string, position removed)
+    sign = 1.0 - 2.0 * (np.arange(k) & 1)
+    out = np.zeros((d.shape[0], m, math.comb(m, k - 1)), dtype=d.dtype)
+    out[:, strings, target] = d[:, :, None] * sign
+    return out.reshape(d.shape[0] * m, -1)
 
 
 def reduced_density_matrix_on_grid(

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qpbench import verification
+from qpbench import cli, verification
 from qpbench.cli import main
 from qpbench.config import ConfigError, RunConfig, system_hash
 from qpbench.hartree_fock import band_structure
@@ -425,6 +425,21 @@ class TestCli:
         lines = (tmp_path / "out" / "bands.csv").read_text().splitlines()
         kvals = {line.split(",")[0] for line in lines if line[0] not in "#k"}
         assert len(kvals) == 4
+
+    def test_parser_is_reused_and_keeps_nothing_between_calls(self, tmp_path, capsys):
+        assert cli._build_parser() is cli._build_parser()
+        bad = self._write_config(tmp_path, {"system": {"bogus": 1}})
+        code = main(["bands", "--config", bad, "--out", str(tmp_path / "bad"), "--k-count", "4"])
+        assert code == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "ConfigError"
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(CRYSTAL_CONFIG))
+        code = main(["bands", "--config", str(good), "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out) == {"status": "ok", "out": str(tmp_path / "out")}
+        lines = (tmp_path / "out" / "bands.csv").read_text().splitlines()
+        kvals = {line.split(",")[0] for line in lines if line[0] not in "#k"}
+        assert len(kvals) == CRYSTAL_CONFIG["system"]["kpoints"]
 
     @pytest.mark.parametrize(
         "payload,flag,message",

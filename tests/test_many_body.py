@@ -78,6 +78,44 @@ class TestVariationalBehavior:
             full_ci_ground_state(system, orbital_cutoff=4)
 
 
+def permutation_sign(perm) -> int:
+    perm = list(perm)
+    sign = 1
+    for i in range(len(perm)):
+        while perm[i] != i:
+            j = perm[i]
+            perm[i], perm[j] = perm[j], perm[i]
+            sign = -sign
+    return sign
+
+
+def amplitude_tensor(state):
+    """First-quantized amplitudes A(p1..pN), unit norm over ordered tuples.
+
+    The reference route: every ordering of a determinant holds its
+    coefficient times the permutation sign, over sqrt(N!).
+    """
+    n = state.n_electrons
+    m = 2 * state.basis.size
+    dets = np.array(state.determinants, dtype=int).reshape(len(state.determinants), n)
+    tensor = np.zeros((m,) * n, dtype=complex)
+    scale = 1.0 / math.sqrt(math.factorial(n))
+    for perm in itertools.permutations(range(n)):
+        cols = tuple(dets[:, p] for p in perm)
+        tensor[cols] = permutation_sign(perm) * scale * state.coefficients
+    return tensor
+
+
+def reference_density_matrix(state, order):
+    """N!/(N-n)! times the contraction of A with A* over the last N - n coordinates."""
+    n = state.n_electrons
+    amp = amplitude_tensor(state)
+    contracted = tuple(range(order, n))
+    rho = np.tensordot(amp, amp.conj(), axes=(contracted, contracted))
+    dim = (2 * state.basis.size) ** order
+    return math.factorial(n) / math.factorial(n - order) * rho.reshape(dim, dim)
+
+
 class TestWavefunction:
     def test_normalized(self, well2):
         _, state = full_ci_ground_state(well2, orbital_cutoff=6)
@@ -87,7 +125,7 @@ class TestWavefunction:
         for n_elec, cutoff in ((2, 6), (3, 4), (4, 3)):
             system = build_soft_coulomb_system((12, 0.5), 2.0, 1.0, n_elec, BOX)
             _, state = full_ci_ground_state(system, orbital_cutoff=cutoff)
-            amp = state.amplitude_tensor()
+            amp = amplitude_tensor(state)
             # each sorted determinant carries its coefficient over sqrt(N!), and
             # its N! orderings are the only other nonzero entries
             scale = math.sqrt(math.factorial(n_elec))
@@ -104,7 +142,7 @@ class TestWavefunction:
 
     def test_tensor_norm_is_one(self, well2):
         _, state = full_ci_ground_state(well2, orbital_cutoff=5)
-        amp = state.amplitude_tensor()
+        amp = amplitude_tensor(state)
         assert np.sum(np.abs(amp) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -284,6 +322,20 @@ def plain_blocks(sizes):
     return blocks
 
 
+def dense_entries(h):
+    """The ``entries(rows, cols)`` reader of a hand-built dense matrix."""
+    return lambda rows, cols: h[np.ix_(rows, cols)]
+
+
+def cut_block(h, block):
+    """<u_j|H|u_k> = 2 w_j w_k (H[r_j, r_k] + phase_k H[r_j, r'_k]), cut from a dense H."""
+    picked = h[block.rows]
+    b = np.take(picked, block.rows, axis=1)
+    b += np.take(picked, block.partners, axis=1) * block.phase
+    b *= 2.0 * np.outer(block.weight, block.weight)
+    return b
+
+
 def block_transform(blocks, n):
     """Columns u_k = w_k (e_r + c_k e_r'), built entry by entry from the block fields."""
     columns = []
@@ -366,7 +418,9 @@ class TestLowestEigenpair:
         for k, b in enumerate(blocks):
             h[k * size:(k + 1) * size, k * size:(k + 1) * size] = b
         assert np.argmin(np.diag(h)) < size
-        energy, vec = many_body._lowest_eigenpair(h, plain_blocks([size] * 4))
+        energy, vec = many_body._lowest_eigenpair(
+            dense_entries(h), 4 * size, plain_blocks([size] * 4)
+        )
         assert davidson_spy[0] is not None
         eigvals, eigvecs = np.linalg.eigh(h)
         assert energy == eigvals[0]
@@ -377,7 +431,7 @@ class TestLowestEigenpair:
         n = many_body._DAVIDSON_MIN_DETERMINANTS + 72
         levels = np.concatenate([[-1.0, -1.0 + gap], np.linspace(0.0, 5.0, n - 2)])
         h = symmetric_with_spectrum(levels, seed=5)
-        energy, vec = many_body._lowest_eigenpair(h, plain_blocks([n]))
+        energy, vec = many_body._lowest_eigenpair(dense_entries(h), n, plain_blocks([n]))
         assert davidson_spy == [None]
         eigvals, eigvecs = np.linalg.eigh(h)
         assert energy == eigvals[0]
@@ -387,7 +441,7 @@ class TestLowestEigenpair:
         n = many_body._DAVIDSON_MIN_DETERMINANTS + 72
         levels = np.concatenate([[-1.0, -0.99], np.linspace(0.0, 5.0, n - 2)])
         h = symmetric_with_spectrum(levels, seed=5)
-        energy, vec = many_body._lowest_eigenpair(h, plain_blocks([n]))
+        energy, vec = many_body._lowest_eigenpair(dense_entries(h), n, plain_blocks([n]))
         assert davidson_spy[0] is not None
         ref_energy, ref_vec = eigh_pair(h)
         assert energy == pytest.approx(ref_energy, abs=1e-12)
@@ -413,7 +467,7 @@ class TestLowestEigenpair:
         energy, state = full_ci_ground_state(system, orbital_cutoff=12)
         assert len(block_spy[0]) == 4
         assert davidson_spy[0] is not None
-        levels = sorted(np.linalg.eigvalsh(many_body._block_matrix(h, b))[0] for b in block_spy[0])
+        levels = sorted(np.linalg.eigvalsh(cut_block(h, b))[0] for b in block_spy[0])
         assert levels[1] - levels[0] < many_body._DAVIDSON_MIN_GAP
         assert abs(davidson_spy[0][0] - levels[0]) > 1e-8
         assert_is_eigh_result(energy, state, h)
@@ -529,17 +583,41 @@ class TestOracleShapeRegression:
         kept = np.zeros_like(blocked, dtype=bool)
         for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
             kept[lo:hi, lo:hi] = True
-            block = many_body._block_matrix(h, blocks[k])
+            block = cut_block(h, blocks[k])
             assert np.max(np.abs(block - blocked[lo:hi, lo:hi])) < 1e-13
         assert np.max(np.abs(blocked[~kept])) <= 1e-13
         spectra = np.sort(
-            np.concatenate([np.linalg.eigvalsh(many_body._block_matrix(h, b)) for b in blocks])
+            np.concatenate([np.linalg.eigvalsh(cut_block(h, b)) for b in blocks])
         )
         assert np.max(np.abs(spectra - np.linalg.eigvalsh(h))) < 1e-12
 
+    def test_gathered_blocks_equal_blocks_cut_from_the_dense_matrix(self, oracle_shape):
+        system, dets, h = oracle_shape
+        t, v = integrals(system, 8)
+        parity = many_body._orbital_parity(orbital_basis(system, 8), t, v)
+        entries = many_body._sector_entries(dets, t, v)
+        blocks = many_body._symmetry_blocks(dets, 8, parity)
+        assert any(not np.array_equal(b.rows, b.partners) for b in blocks)
+        for block in blocks:
+            assert np.array_equal(many_body._block_matrix(entries, block), cut_block(h, block))
+
+    def test_ground_state_peak_memory_stays_under_8_mb(self, oracle_shape):
+        # the string products are one 784 x 784 matrix (4.9 MB); the blocks
+        # are gathered from them, and the sector matrix in determinant order
+        # is never formed unless a certificate fails
+        system, dets, h = oracle_shape
+        full_ci_ground_state(system, orbital_cutoff=8)  # first-call allocations
+        tracemalloc.start()
+        try:
+            full_ci_ground_state(system, orbital_cutoff=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
     def test_build_memory_stays_within_a_few_matrices(self):
-        # tracemalloc sees numpy's buffers; the build peaks near 3.1 matrices
-        # here, the result included (string products, index map and output)
+        # tracemalloc sees numpy's buffers; the build peaks near 2.1 matrices
+        # here, the result included (string products and output)
         system = build_soft_coulomb_system((16, 0.5), 2.0, 1.0, 4, BOX)
         t, v = integrals(system, 8)
         dets = enumerate_determinants(16, 4, sz=0.0)
@@ -567,6 +645,37 @@ class TestSpinSector:
 
 
 class TestReducedDensityMatrices:
+    @pytest.mark.parametrize(
+        "n_elec,cutoff,sz",
+        [
+            (1, 6, None),
+            (2, 5, None),
+            (2, 5, 1.0),
+            (3, 4, None),
+            (3, 4, 1.5),
+            (4, 3, None),
+            (4, 3, 1.0),
+        ],
+    )
+    def test_every_order_matches_the_first_quantized_route(self, n_elec, cutoff, sz):
+        system = build_soft_coulomb_system((12, 0.5), 2.0, 1.0, n_elec, BOX)
+        _, state = full_ci_ground_state(system, orbital_cutoff=cutoff, sz=sz)
+        for order in range(1, n_elec + 1):
+            rho = exact_reduced_density_matrix(state, order).matrix
+            assert np.max(np.abs(rho - reference_density_matrix(state, order))) < 1e-13
+
+    def test_one_matrix_never_forms_the_amplitude_tensor(self):
+        # the first-quantized route holds all m^N = 16^4 amplitudes (1.05 MB)
+        system = build_soft_coulomb_system((16, 0.5), 2.0, 1.0, 4, BOX)
+        _, state = full_ci_ground_state(system, orbital_cutoff=8)
+        tracemalloc.start()
+        try:
+            exact_reduced_density_matrix(state, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16**4 * 16
+
     @pytest.mark.parametrize(
         "n_elec,order,target",
         [(2, 1, 2.0), (3, 2, 6.0), (1, 1, 1.0), (3, 1, 3.0), (2, 2, 2.0)],

@@ -4,6 +4,10 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import qpbench
@@ -131,3 +135,25 @@ def test_every_traced_function_exists():
         if not inspect.isfunction(getattr(importlib.import_module(module), name, None))
     ]
     assert missing == []
+
+
+def test_importing_the_cli_loads_no_third_party_package_but_numpy():
+    # the benchmark's setup_s times a fresh interpreter importing qpbench.cli,
+    # so a dependency pulled in at import time costs every run
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import qpbench.cli\n"
+        "print(json.dumps(sorted({n.partition('.')[0] for n in set(sys.modules) - before})))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    loaded = set(json.loads(done.stdout)) - set(sys.stdlib_module_names) - {"qpbench"}
+    assert loaded == {"numpy"}
