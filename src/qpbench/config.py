@@ -162,6 +162,21 @@ def validate_config(raw: dict) -> dict:
     sysconf = data["system"]
     if sysconf["electrons"] != 1 and sysconf["electrons"] % 2 != 0:
         raise ConfigError("system.electrons: closed shell requires 1 or an even count")
+    if sysconf["electrons"] > 2 * sysconf["points"]:
+        raise ConfigError(
+            f"system.electrons: at most two per grid point, so at most {2 * sysconf['points']} "
+            f"for system.points = {sysconf['points']}, got {sysconf['electrons']}"
+        )
+    qp = data["quasiparticle"]
+    if qp["enabled"] and qp["band"] >= sysconf["points"]:
+        raise ConfigError(
+            f"quasiparticle.band: must be below the band count system.points = "
+            f"{sysconf['points']}, got {qp['band']}"
+        )
+    n_values = data["spectrum"]["n_values"]
+    for i, n in enumerate(n_values):
+        if n in n_values[:i]:
+            raise ConfigError(f"spectrum.n_values[{i}]: {n} repeats an earlier value")
     if data["oracle"]["enabled"]:
         if sysconf["electrons"] > 4:
             raise ConfigError("oracle.enabled: the exact oracle supports at most 4 electrons")

@@ -3,6 +3,8 @@
 An order-n reduced matrix is stored densely over ordered n-tuples of a single
 coordinate index (grid point or spin-orbital), with a quadrature weight per
 coordinate so that traces reproduce their continuum normalization N!/(N-n)!.
+:func:`energy_from_density_matrices` is the one route from density matrices
+to an energy, for a correlated state and a determinant alike.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ ORBITAL = "orbital"
 GRID = "grid"
 
 _MAX_MATRIX_ENTRIES = 8_000_000
-# hf_decomposition's bound on |rho2 - rho2[rho1]|, relative to max |rho2|
-_FACTORIZATION_TOL = 1e-8
 
 
 def normalization_target(n_electrons: int, order: int) -> float:
@@ -60,36 +60,6 @@ class DensityMatrix:
     def hermiticity_error(self) -> float:
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T))[0])
-
-    def as_tensor(self) -> np.ndarray:
-        """Reshape to one axis per coordinate: (d,)*order primed then unprimed."""
-        d = self.dim_single
-        return self.matrix.reshape((d,) * (2 * self.order))
-
-    def contract_last_coordinate(self) -> "DensityMatrix":
-        """Integrate out the last coordinate pair (diagonal in it).
-
-        For an order-n matrix the result has order n-1 and equals
-        (N - n + 1) times the order-(n-1) reduced matrix of the same state.
-        """
-        if self.order < 2:
-            raise ValueError("need order >= 2 to contract a coordinate")
-        t = self.as_tensor()
-        n = self.order
-        # trace over (primed last, unprimed last) coordinate pair
-        contracted = np.trace(t, axis1=n - 1, axis2=2 * n - 1) * self.weight
-        d = self.dim_single
-        return DensityMatrix(
-            order=n - 1,
-            n_electrons=self.n_electrons,
-            matrix=contracted.reshape(d ** (n - 1), d ** (n - 1)),
-            dim_single=d,
-            weight=self.weight,
-            basis=self.basis,
-        )
-
     def pair_diagonal(self) -> np.ndarray:
         """Diagonal rho2(x1, x2; x1, x2) as a (d, d) array (order-2 only)."""
         if self.order != 2:
@@ -113,17 +83,9 @@ def check_matrix_size(dim: int, order: int) -> None:
 
 @dataclass(frozen=True)
 class Projector:
-    """Projector |v><v| onto one grid vector.
-
-    Only the vector is stored; :attr:`matrix` forms the outer product on
-    demand, so the idempotency check stays exact.
-    """
+    """Projector |v><v| onto one grid vector, stored as the vector alone."""
 
     vector: np.ndarray
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.outer(self.vector, self.vector.conj())
 
     def trace_with(self, operator: np.ndarray) -> complex:
         """tr(P . operator) = <v|operator|v>."""
@@ -215,39 +177,6 @@ def determinant_density_matrices(
         basis=GRID,
     )
     return rho1, rho2
-
-
-def hf_decomposition(
-    rho2_hf: DensityMatrix | None,
-    v_kernel: np.ndarray,
-    rho1: DensityMatrix,
-    h_matrix: np.ndarray,
-) -> tuple[float, float]:
-    """Split the determinant energy into Sp(h rho1) and the pair term (1/2) Sp(v rho2).
-
-    The split is only defined for a determinant state, whose pair matrix
-    factorizes through rho1; a correlated rho2 is rejected.  The two returned
-    terms sum to :func:`energy_from_density_matrices` on the same inputs.
-    """
-    w = rho1.weight
-    epsilon0_term = float(np.real(np.sum(h_matrix * rho1.matrix.T)) * w)  # Tr(h rho1)
-    if rho2_hf is None:
-        if rho1.n_electrons != 1:
-            raise ValueError("rho2 may be omitted only for a single electron")
-        return epsilon0_term, 0.0
-    g = rho1.dim_single
-    p = rho1.matrix
-    rebuilt = np.einsum("ac,bd->abcd", p, p) - 0.5 * np.einsum("ad,bc->abcd", p, p)
-    err = float(np.max(np.abs(rho2_hf.matrix - rebuilt.reshape(g * g, g * g))))
-    scale = max(1.0, float(np.max(np.abs(rho2_hf.matrix))))
-    if err > _FACTORIZATION_TOL * scale:
-        raise ValueError(
-            f"rho2 is not determinant-factorized (max deviation {err:.3e}); "
-            "the one-determinant split is unsupported for correlated states"
-        )
-    diag = np.real(rho2_hf.pair_diagonal())
-    excitation_term = 0.5 * float(np.sum(v_kernel * diag) * rho2_hf.weight**2)
-    return epsilon0_term, excitation_term
 
 
 # ---------------------------------------------------------------------------

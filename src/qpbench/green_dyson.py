@@ -23,6 +23,8 @@ _HERMITICITY_TOL = 1e-12
 _BLOCK_ELEMENTS = 1 << 12
 # the pipeline's Dyson check visits every ceil(nw / _SUBSAMPLE_POINTS)-th frequency
 _SUBSAMPLE_POINTS = 64
+# dyson_solve flags a frequency whose max-norm defect exceeds this
+_RESIDUAL_TOL = 1e-10
 
 
 def check_hermitian(m: np.ndarray, what: str) -> None:
@@ -54,8 +56,8 @@ class GreenFunction:
     ``matrices[i]`` is the propagator at ``omegas[i] + 1j * eta``, normalized
     to an identity source.  A dressed propagator carries ``defects[i]``, the
     max-norm of G - G0 - G0 Sigma G at each frequency (NaN where the solve
-    failed), and ``flagged``, the frequencies whose defect is not within the
-    solver's tolerance.
+    failed), and ``flagged``, the frequencies whose defect is not within
+    ``_RESIDUAL_TOL``.
     """
 
     omegas: np.ndarray
@@ -132,17 +134,13 @@ def _solve_block(g0: np.ndarray, sig: np.ndarray, out: np.ndarray, defects: np.n
     defects[...] = np.max(np.abs(out - g0 - g0_sig @ out), axis=(1, 2))
 
 
-def dyson_solve(
-    g0: GreenFunction,
-    sigma: np.ndarray,
-    residual_tol: float = 1e-10,
-) -> GreenFunction:
+def dyson_solve(g0: GreenFunction, sigma: np.ndarray) -> GreenFunction:
     """Dressed propagator satisfying G = G0 + G0 Sigma G at every frequency.
 
     ``sigma`` is a static Hermitian (d, d) kernel or an (nw, d, d) table
     aligned with the frequencies of ``g0``.  Solves (I - G0 Sigma) G = G0 in
     blocks of frequencies.  Frequencies where the solve is singular, or whose
-    defect is not within ``residual_tol`` (NaN included), are flagged rather
+    defect is not within ``_RESIDUAL_TOL`` (NaN included), are flagged rather
     than silently dropped.
     """
     nw = g0.omegas.size
@@ -171,7 +169,7 @@ def dyson_solve(
                 except np.linalg.LinAlgError:
                     out[i] = np.nan
                     defects[i] = np.nan
-    flagged = np.flatnonzero(~(defects <= residual_tol))
+    flagged = np.flatnonzero(~(defects <= _RESIDUAL_TOL))
     return GreenFunction(
         omegas=g0.omegas,
         eta=g0.eta,

@@ -50,13 +50,6 @@ class FockOperator:
     exchange: np.ndarray
     total: np.ndarray
 
-    def hermiticity_error(self) -> float:
-        return float(np.max(np.abs(self.total - self.total.conj().T)))
-
-    def self_action_residual(self, orbital: np.ndarray) -> float:
-        """Max-norm of (hartree - exchange) acting on an occupied orbital."""
-        return float(np.max(np.abs((self.hartree - self.exchange) @ orbital)))
-
 
 @dataclass(frozen=True)
 class SCFResult:
@@ -255,8 +248,8 @@ class _PulayHistory:
     extrapolated operator is rebuilt from the stored orbitals.
     """
 
-    def __init__(self, nk: int, g: int, nocc: int, dtype, size: int = _DIIS_SIZE):
-        self.size = size
+    def __init__(self, nk: int, g: int, nocc: int, dtype):
+        self.size = size = _DIIS_SIZE  # read when constructed, not at import
         self.psi = np.zeros((nk, size, g, nocc), dtype=dtype)
         self.err = np.zeros_like(self.psi)
         self.b = np.zeros((nk, size, size))

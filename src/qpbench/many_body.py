@@ -77,9 +77,6 @@ class NBodyWavefunction:
     basis: OrbitalBasis
     sz: float
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coefficients))
-
 
 def orbital_basis(system: ModelSystem, cutoff: int) -> OrbitalBasis:
     """Lowest ``cutoff`` eigenfunctions of kinetic + external potential."""

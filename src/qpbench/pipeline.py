@@ -163,8 +163,6 @@ def _stage_quasiparticle(system, config, out_dir, chash, state):
     bands: BandStructure = state["bands"]
     qp = config["quasiparticle"]
     band = qp["band"]
-    if band >= bands.n_bands:
-        raise ValueError(f"quasiparticle band {band} out of range")
     # a failed SCF at any momentum invalidates every band at that momentum
     unconverged = next((res for res in bands.scf_results if not res.converged), None)
     if unconverged is not None:

@@ -338,6 +338,34 @@ class TestCli:
         assert message in error["message"]
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "payload,message,edge",
+        [
+            (
+                {"spectrum": {"n_values": [2, 3, 3]}},
+                "spectrum.n_values[2]: 3 repeats an earlier value",
+                {"spectrum": {"n_values": [2, 3, 4]}},
+            ),
+            (
+                {"system": {"points": 8, "electrons": 18}, "oracle": {"enabled": False}},
+                "system.electrons: at most two per grid point, so at most 16",
+                {"system": {"points": 8, "electrons": 16}, "oracle": {"enabled": False}},
+            ),
+            (
+                {"system": {"points": 12}, "quasiparticle": {"band": 12}},
+                "quasiparticle.band: must be below the band count system.points = 12",
+                {"system": {"points": 12}, "quasiparticle": {"band": 11}},
+            ),
+        ],
+        ids=["repeated-n", "electrons-over-grid", "band-over-grid"],
+    )
+    def test_config_a_stage_would_reject_is_a_config_error(
+        self, tmp_path, capsys, payload, message, edge
+    ):
+        # each used to pass validation and fail its stage with exit 3
+        self._assert_config_error(Path(self._write_config(tmp_path, payload)), capsys, message)
+        RunConfig.from_dict(edge)
+
     def test_missing_config_file_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "absent.json"
         self._assert_config_error(path, capsys, f"config file not found: {path}")

@@ -6,10 +6,9 @@ from qpbench.density_matrix import (
     band_projector,
     determinant_density_matrices,
     energy_from_density_matrices,
-    hf_decomposition,
     trace_energy_identity,
 )
-from qpbench.hartree_fock import scf_solve
+from qpbench.hartree_fock import hf_total_energy, scf_solve
 from qpbench.many_body import (
     exact_reduced_density_matrix,
     full_ci_ground_state,
@@ -34,6 +33,10 @@ def hf2(well2):
     return scf_solve(well2)
 
 
+def outer(proj):
+    return np.outer(proj.vector, proj.vector.conj())
+
+
 class TestPureStateProjector:
     """The band projector |v><v| of one state, and its trace against an operator."""
 
@@ -41,14 +44,14 @@ class TestPureStateProjector:
         proj = band_projector(np.array([1.0, 0.0, 0.0]))
         expect = np.zeros((3, 3))
         expect[0, 0] = 1.0
-        assert np.array_equal(proj.matrix, expect)
+        assert np.array_equal(outer(proj), expect)
         op = np.arange(9.0).reshape(3, 3)
         assert proj.trace_with(op) == op[0, 0]
 
     def test_equal_superposition(self):
         v = np.array([1.0, 1.0]) / np.sqrt(2.0)
         proj = band_projector(v)
-        assert np.max(np.abs(proj.matrix - 0.5)) < 1e-15
+        assert np.max(np.abs(outer(proj) - 0.5)) < 1e-15
         # <v|op|v> averages every element
         op = np.array([[1.0, 2.0], [3.0, 4.0]])
         assert proj.trace_with(op) == pytest.approx(5.0, abs=1e-15)
@@ -58,7 +61,7 @@ class TestPureStateProjector:
         v = rng.normal(size=7) + 1j * rng.normal(size=7)
         v /= np.linalg.norm(v)
         proj = band_projector(v)
-        m = proj.matrix
+        m = outer(proj)
         product = m @ m  # direct multiply oracle
         assert np.max(np.abs(product - m)) < 1e-12
         # tr(P op) by the dense trace, for the identity and a complex operator
@@ -75,8 +78,8 @@ class TestBandProjectors:
         v = rng.normal(size=6) + 1j * rng.normal(size=6)
         v /= np.linalg.norm(v)
         proj = band_projector(v)
-        m = proj.matrix
-        assert np.max(np.abs(np.outer(v, v.conj()) - m)) < 1e-14
+        assert np.array_equal(proj.vector, v)
+        m = outer(proj)
         assert np.max(np.abs(m @ m - m)) < 1e-10
 
 
@@ -141,9 +144,6 @@ class TestEnergyFunctional:
         assert energy_from_density_matrices(rho1, None, h, zero) == pytest.approx(
             expect, abs=1e-12
         )
-        one_body, pair = hf_decomposition(None, zero, rho1, h)
-        assert one_body == pytest.approx(expect, abs=1e-12)
-        assert pair == 0.0
 
     def test_dimension_mismatch_rejected(self, well2, hf2):
         rho1, rho2 = determinant_density_matrices(
@@ -156,13 +156,15 @@ class TestEnergyFunctional:
 
 
 class TestDeterminantSplit:
+    """The functional on a determinant: its one-body term Sp(h rho1) and pair term."""
+
     def test_zero_interaction_gives_zero_excitation(self, well2, hf2):
         w = well2.grid.spacing
+        h = core_hamiltonian(well2)
+        zero = np.zeros_like(well2.interaction_kernel)
         rho1, rho2 = determinant_density_matrices(hf2.orbitals[:, :1], 2, w)
-        _, excitation = hf_decomposition(
-            rho2, np.zeros_like(well2.interaction_kernel), rho1, core_hamiltonian(well2)
-        )
-        assert excitation == 0.0
+        one_body = energy_from_density_matrices(rho1, None, h, zero)
+        assert energy_from_density_matrices(rho1, rho2, h, zero) == one_body
 
     def test_single_electron_has_no_pairs(self):
         system = build_soft_coulomb_system((12, 0.5), 2.0, 1.0, 1, BOX)
@@ -171,28 +173,21 @@ class TestDeterminantSplit:
             res.orbitals[:, :1], 1, system.grid.spacing
         )
         assert rho2 is None
-        _, excitation = hf_decomposition(
-            rho2, system.interaction_kernel, rho1, core_hamiltonian(system)
+        energy = energy_from_density_matrices(
+            rho1, rho2, core_hamiltonian(system), system.interaction_kernel
         )
-        assert excitation == 0.0
+        # a lone electron's energy is its orbital eigenvalue
+        assert energy == pytest.approx(res.eigenvalues[0], abs=1e-12)
 
     def test_split_reproduces_total(self, well2, hf2):
+        # one-body plus pair term against the orbital route E = Tr(h P) + E_H - E_x
         w = well2.grid.spacing
-        h = core_hamiltonian(well2)
-        v = well2.interaction_kernel
-        rho1, rho2 = determinant_density_matrices(hf2.orbitals[:, :1], 2, w)
-        one_body, excitation = hf_decomposition(rho2, v, rho1, h)
-        total = energy_from_density_matrices(rho1, rho2, h, v)
-        assert one_body + excitation == pytest.approx(total, abs=1e-12)
-
-    def test_correlated_rho2_rejected(self, well2):
-        _, state = full_ci_ground_state(well2, orbital_cutoff=12)
-        rho1 = reduced_density_matrix_on_grid(state, 1)
-        rho2 = reduced_density_matrix_on_grid(state, 2)
-        with pytest.raises(ValueError, match="factorized"):
-            hf_decomposition(
-                rho2, well2.interaction_kernel, rho1, core_hamiltonian(well2)
-            )
+        occupied = hf2.orbitals[:, :1]
+        rho1, rho2 = determinant_density_matrices(occupied, 2, w)
+        total = energy_from_density_matrices(
+            rho1, rho2, core_hamiltonian(well2), well2.interaction_kernel
+        )
+        assert total == pytest.approx(hf_total_energy(well2, occupied), abs=1e-12)
 
 
 class TestSpinZeroDensity:
@@ -218,9 +213,11 @@ class TestGridReducedMatrices:
         _, state = full_ci_ground_state(well2, orbital_cutoff=8)
         rho1 = reduced_density_matrix_on_grid(state, 1)
         rho2 = reduced_density_matrix_on_grid(state, 2)
-        contracted = rho2.contract_last_coordinate()
+        # integrate out the last coordinate pair with its quadrature weight
+        d = rho2.dim_single
+        contracted = np.einsum("aibi->ab", rho2.matrix.reshape(d, d, d, d)) * rho2.weight
         expect = (state.n_electrons - 1) * rho1.matrix
-        assert np.max(np.abs(contracted.matrix - expect)) < 1e-10
+        assert np.max(np.abs(contracted - expect)) < 1e-10
 
 
 class TestTraceIdentity:

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qpbench import pipeline
+from qpbench import green_dyson, pipeline
 from qpbench.config import RunConfig
 from qpbench.green_dyson import (
     default_frequency_grid,
@@ -164,16 +164,17 @@ class TestDysonSolve:
         assert 1 in g.flagged
         assert g.matrices.shape == g0.matrices.shape  # flagged, not dropped
 
-    def test_defect_above_tolerance_flagged_and_excluded(self):
+    def test_defect_above_tolerance_flagged_and_excluded(self, monkeypatch):
         h = random_hermitian(3, seed=12)
         g0 = free_green(h, np.linspace(-4, 4, 40), eta=0.5)
         sigma = random_hermitian(3, seed=13, scale=0.05)
+        assert dyson_solve(g0, sigma).flagged == ()
         # a negative tolerance fails every frequency's defect test
-        g = dyson_solve(g0, sigma, residual_tol=-1.0)
+        monkeypatch.setattr(green_dyson, "_RESIDUAL_TOL", -1.0)
+        g = dyson_solve(g0, sigma)
         assert g.flagged == tuple(range(40))
         assert np.all(np.isfinite(g.matrices))  # solved and kept, only flagged
         assert dyson_residual(g, g0, sigma) == 0.0
-        assert dyson_solve(g0, sigma).flagged == ()
 
     def test_non_finite_defect_flagged(self):
         # a kernel that is NaN at one frequency leaves a non-finite G there

@@ -119,7 +119,7 @@ def reference_density_matrix(state, order):
 class TestWavefunction:
     def test_normalized(self, well2):
         _, state = full_ci_ground_state(well2, orbital_cutoff=6)
-        assert abs(state.norm() - 1.0) < 1e-12
+        assert abs(np.linalg.norm(state.coefficients) - 1.0) < 1e-12
 
     def test_amplitudes_antisymmetric_under_transposition(self):
         for n_elec, cutoff in ((2, 6), (3, 4), (4, 3)):
@@ -697,17 +697,27 @@ class TestReducedDensityMatrices:
     def test_hermiticity_and_positivity(self, well2):
         _, state = full_ci_ground_state(well2, orbital_cutoff=6)
         rho1 = exact_reduced_density_matrix(state, 1)
+        m = rho1.matrix
         assert rho1.hermiticity_error() < 1e-12
-        assert rho1.min_eigenvalue() >= -1e-10
+        assert np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0] >= -1e-10
 
     def test_contraction_consistency(self):
         system = build_soft_coulomb_system((12, 0.5), 2.0, 1.0, 3, BOX)
         _, state = full_ci_ground_state(system, orbital_cutoff=3)
         rho1 = exact_reduced_density_matrix(state, 1)
         rho2 = exact_reduced_density_matrix(state, 2)
-        contracted = rho2.contract_last_coordinate()
+        # integrate out the last coordinate pair: (N - 1) rho1
+        d = rho2.dim_single
+        contracted = np.einsum("aibi->ab", rho2.matrix.reshape(d, d, d, d)) * rho2.weight
         expect = (state.n_electrons - 1) * rho1.matrix
-        assert np.max(np.abs(contracted.matrix - expect)) < 1e-10
+        assert np.max(np.abs(contracted - expect)) < 1e-10
+
+    def test_grid_pair_matrix_over_the_size_limit_rejected(self):
+        # (54**2)**2 = 8.5e6 entries exceed the 8e6 limit; 53 points would fit
+        system = build_soft_coulomb_system((54, 0.5), 2.0, 1.0, 2, BOX)
+        _, state = full_ci_ground_state(system, orbital_cutoff=1)
+        with pytest.raises(ValueError, match="density matrix too large"):
+            reduced_density_matrix_on_grid(state, 2)
 
     def test_out_of_range_order_rejected(self, well2):
         _, state = full_ci_ground_state(well2, orbital_cutoff=4)

@@ -20,6 +20,11 @@ TESTS = Path(__file__).parent
 # public names that only tests call: the independent routes the SCF tests
 # compare the solver against
 TEST_REFERENCE_ROUTES = ("build_fock", "hf_total_energy")
+# keyword parameters that only tests pass: seams the guard tests need
+TEST_SEAMS = (
+    "_scf(guess_orbitals=)",  # the aufbau-verdict tests start from an excited orbital
+    "full_ci_ground_state(sz=)",  # the exclusion and RDM tests use other Sz sectors
+)
 
 
 def _unused_imports(path: Path) -> list:
@@ -98,16 +103,25 @@ def test_every_module_level_private_name_is_read():
     assert unread == []
 
 
+def _program_trees() -> dict:
+    """The package and the benchmark without its tests: where a program reader lives."""
+    bench = (p for p in PERFBENCH.glob("*.py") if not p.name.startswith("test_"))
+    return _parse_all([*PACKAGE.glob("*.py"), *bench])
+
+
+def _package(program: dict) -> dict:
+    return {path: tree for path, tree in program.items() if path.parent == PACKAGE}
+
+
 def test_every_public_name_has_a_caller():
     # a caller is the package itself or the benchmark, never a test; the
     # tracer reaches the functions it patches by their LAYERS keys
-    trees = _parse_all(PACKAGE.glob("*.py"))
-    bench = _parse_all(p for p in PERFBENCH.glob("*.py") if not p.name.startswith("test_"))
-    read = _read_names([*trees.values(), *bench.values()])
+    program = _program_trees()
+    read = _read_names(program.values())
     read.update(name for _, name in _load_spans().LAYERS)
     uncalled = [
         f"{path.name}:{line} {name}"
-        for path, tree in trees.items()
+        for path, tree in _package(program).items()
         for name, line in _module_definitions(tree).items()
         if not name.startswith("_") and name not in read and name not in TEST_REFERENCE_ROUTES
     ]
@@ -122,6 +136,114 @@ def test_every_public_name_has_a_caller():
         for alias in node.names
     }
     assert set(TEST_REFERENCE_ROUTES) <= imported
+
+
+def _is_record(cls: ast.ClassDef) -> bool:
+    """A dataclass or a NamedTuple, whose annotated class attributes are fields."""
+    decorators = (d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list)
+    names = {getattr(node, "id", getattr(node, "attr", None)) for node in (*decorators, *cls.bases)}
+    return bool(names & {"dataclass", "NamedTuple"})
+
+
+def _members(tree: ast.Module):
+    """(line, class, name) of every method, property and record field."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
+                yield node.lineno, cls.name, node.name
+            elif isinstance(node, ast.AnnAssign) and _is_record(cls):
+                yield node.lineno, cls.name, node.target.id
+
+
+def test_every_method_and_field_has_a_reader():
+    # by name alone: a member that shares its name with a member the program
+    # reads passes unseen
+    program = _program_trees()
+    read = {
+        node.attr
+        for tree in program.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{path.name}:{line} {cls}.{name}"
+        for path, tree in _package(program).items()
+        for line, cls, name in _members(tree)
+        if name not in read
+    ]
+    assert unread == []
+
+
+def _keyword_defaults(tree: ast.Module):
+    """(line, callee, parameter, position) of every parameter that has a default.
+
+    A class's ``__init__`` is called by the class name, and a method's
+    ``self`` is not passed by position.  ``position`` counts the positional
+    parameters before this one; it is None for a keyword-only parameter.
+    """
+    methods = {
+        fn: cls
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef)
+    }
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        callee = fn.name
+        if fn in methods:
+            static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            positional = positional if static else positional[1:]
+            if fn.name == "__init__":
+                callee = methods[fn].name
+        first = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first:], first):
+            yield fn.lineno, callee, arg.arg, i
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield fn.lineno, callee, arg.arg, None
+
+
+def _passes(call: ast.Call, parameter: str, position) -> bool:
+    """Whether ``call`` passes ``parameter``: by keyword, by position or by forwarding."""
+    if any(keyword.arg in (None, parameter) for keyword in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def _unpassed_defaults(defining: dict, calling) -> dict:
+    """``callee(parameter=)`` -> where, for each default that no call in ``calling`` passes."""
+    calls = {}
+    for tree in calling:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(callee, []).append(node)
+    return {
+        f"{callee}({parameter}=)": f"{path.name}:{line}"
+        for path, tree in defining.items()
+        for line, callee, parameter, position in _keyword_defaults(tree)
+        if callee not in TEST_REFERENCE_ROUTES
+        and not any(_passes(call, parameter, position) for call in calls.get(callee, ()))
+    }
+
+
+def test_every_keyword_default_has_a_caller():
+    program = _program_trees()
+    package = _package(program)
+    unpassed = _unpassed_defaults(package, program.values())
+    assert [f"{where} {name}" for name, where in unpassed.items() if name not in TEST_SEAMS] == []
+    # a seam is still one: no program passes it, and some test does
+    assert set(TEST_SEAMS) <= set(unpassed)
+    tests = _parse_all(TESTS.glob("test_*.py")).values()
+    assert set(TEST_SEAMS).isdisjoint(_unpassed_defaults(package, [*program.values(), *tests]))
 
 
 def test_every_traced_function_exists():
