@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .density_matrix import check_matrix_size
+
 
 class ConfigError(ValueError):
     """Invalid run configuration; the message carries the offending field path."""
@@ -188,6 +190,11 @@ def validate_config(raw: dict) -> dict:
                 f"oracle.orbital_cutoff: the {sysconf['electrons']} electrons of system.electrons "
                 f"need at least {needed} spatial orbitals, got {data['oracle']['orbital_cutoff']}"
             )
+        # the oracle stage writes the spin-orbital density matrices up to order 2
+        try:
+            check_matrix_size(2 * data["oracle"]["orbital_cutoff"], min(sysconf["electrons"], 2))
+        except ValueError as exc:
+            raise ConfigError(f"oracle.orbital_cutoff: {exc}") from exc
     return data
 
 

@@ -2,13 +2,15 @@
 
 Full configuration interaction over the lowest one-body orbitals, used as the
 ground-truth oracle for density matrices, energies and mean-field comparisons.
-Spin is bookkept through explicit spin-orbital indices (even = up, odd = down)
-so antisymmetry checks stay direct.  A determinant with fixed Sz factors into
-an alpha string and a beta string (the sorted spatial orbitals of each spin).
-The CI matrix of a sector is built in that string-product basis from
-single-replacement string operators; an element between two determinants is
-gathered from it, each determinant taking the sign of reordering its
-interleaved spin orbitals into alpha-then-beta order.  H keeps spin flip (at
+The m spatial orbitals give 2m spin orbitals, numbered alpha 0 ... m - 1, then
+beta m ... 2m - 1.  A determinant of fixed Sz is the product
+A+(I_a) B+(I_b) |0> of an alpha string I_a and a beta string I_b (the sorted
+spatial orbitals of each spin).  In that numbering its occupied spin orbitals
+are the alpha string followed by the shifted beta string, already ascending,
+so it carries no sign; with b beta strings it is determinant I_a b + I_b of
+its sector.  The CI matrix of a sector is built in that string-product basis
+from single-replacement string operators, and an element between two
+determinants is read from it directly.  H keeps spin flip (at
 Sz = 0) and, when the orbitals and integrals show it, reflection parity; a
 sector of at least ``_DAVIDSON_MIN_DETERMINANTS`` determinants is split into
 those symmetry blocks, each gathered straight from the string products.  A
@@ -65,14 +67,15 @@ class OrbitalBasis:
 class NBodyWavefunction:
     """Antisymmetric N-electron state expanded over spin-orbital determinants.
 
-    ``determinants`` holds sorted spin-orbital index tuples, each standing for
-    a+_p1 ... a+_pN |0> with p1 < ... < pN; ``coefficients`` the expansion
-    amplitudes.  ``sz`` is the total spin projection shared by every
+    Row d of the (n_det, N) array ``determinants`` holds the ascending
+    spin-orbital indices p1 < ... < pN of a+_p1 ... a+_pN |0>, alpha orbitals
+    0 ... m - 1 before beta orbitals m ... 2m - 1; ``coefficients`` holds the
+    expansion amplitudes.  ``sz`` is the total spin projection shared by every
     determinant.
     """
 
     n_electrons: int
-    determinants: tuple
+    determinants: np.ndarray
     coefficients: np.ndarray
     basis: OrbitalBasis
     sz: float
@@ -103,25 +106,6 @@ def one_body_integrals(basis: OrbitalBasis, system: ModelSystem) -> np.ndarray:
     return basis.spacing * (phi.T @ h @ phi)
 
 
-def enumerate_determinants(n_spin_orbitals: int, n_electrons: int, sz: float):
-    """Sorted spin-orbital tuples of total spin projection ``sz``, in lexicographic order.
-
-    The sector is the product of its alpha and beta strings, sorted; the other
-    sectors of the full space are never visited.  An unreachable ``sz`` gives
-    no determinants.
-    """
-    n_up = round(0.5 * n_electrons + sz)
-    if not 0 <= n_up <= n_electrons or abs(n_up - 0.5 * n_electrons - sz) > 1e-12:
-        return ()
-    up = 2 * _strings((n_spin_orbitals + 1) // 2, n_up)
-    down = 2 * _strings(n_spin_orbitals // 2, n_electrons - n_up) + 1
-    dets = np.concatenate(
-        [np.repeat(up, len(down), axis=0), np.tile(down, (len(up), 1))], axis=1
-    )
-    dets.sort(axis=1)
-    return tuple(sorted(map(tuple, dets.tolist())))
-
-
 def _strings(m: int, n: int) -> np.ndarray:
     """The C(m, n) occupation strings of n same-spin electrons in m orbitals.
 
@@ -131,6 +115,18 @@ def _strings(m: int, n: int) -> np.ndarray:
     count = math.comb(m, n)
     flat = itertools.chain.from_iterable(itertools.combinations(range(m), n))
     return np.fromiter(flat, dtype=np.intp, count=count * n).reshape(count, n)
+
+
+def _determinants(m: int, n_a: int, n_b: int) -> np.ndarray:
+    """Occupied spin orbitals of every determinant of a sector, one ascending row each.
+
+    Row I_a b + I_b, for b beta strings, is alpha string I_a followed by beta
+    string I_b shifted by m, so the rows are in lexicographic order.
+    """
+    alpha, beta = _strings(m, n_a), _strings(m, n_b) + m
+    return np.concatenate(
+        [np.repeat(alpha, len(beta), axis=0), np.tile(beta, (len(alpha), 1))], axis=1
+    )
 
 
 def _string_rank(strings: np.ndarray, m: int) -> np.ndarray:
@@ -213,53 +209,21 @@ def _excitation_matrix(ops: _StringOperators, m: int) -> np.ndarray:
     return e
 
 
-def ci_hamiltonian(dets, t: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Dense CI matrix <D_i|H|D_j> over sorted spin-orbital determinants, in their order.
+def _sector_entries(string_h: np.ndarray):
+    """Reader entries(rows, cols) of the CI matrix of a sector, from its string products.
 
-    Every determinant must share one Sz sector; a list that mixes sectors is
-    rejected.  The elements are gathered from the string-product matrix of
-    :func:`_sector_entries`.
-    """
-    n_det = len(dets)
-    if n_det == 0:
-        return np.zeros((0, 0))
-    everything = np.arange(n_det)
-    return _sector_entries(dets, t, v)(everything, everything)
-
-
-def _sector_entries(dets, t: np.ndarray, v: np.ndarray):
-    """Reader entries(rows, cols) of the CI matrix of a one-sector determinant list.
-
-    The sector is built in the product basis of its alpha and beta strings
+    ``string_h`` is H[I_a, J_a, I_b, J_b] of :func:`_string_hamiltonian`
     (Knowles & Handy, Chem. Phys. Lett. 111, 315 (1984); Olsen et al.,
-    J. Chem. Phys. 89, 2185 (1988)), by :func:`_string_hamiltonian`.  The
-    reader gathers H[rows][:, cols] from it,
-
-        H[d, e] = string_h[I_a(d), I_a(e), I_b(d), I_b(e)] s(d) s(e),
-
-    with I_a, I_b the string ranks of each determinant and s the sign of
-    reordering its interleaved spin orbitals into alpha-then-beta order
-    (:func:`_string_labels`).  The indices broadcast, so no index array of
-    the size of the result is formed.
+    J. Chem. Phys. 89, 2185 (1988)).  Determinant d is the string pair
+    (d // b, d % b) for b beta strings, so the reader gathers H[rows][:, cols]
+    as string_h[r // b, c // b, r % b, c % b].  The indices broadcast, so no
+    index array of the size of the result is formed.
     """
-    occupied = np.array(dets, dtype=np.intp).reshape(len(dets), -1)
-    m = t.shape[0]
-    alpha_counts = sorted(set(np.count_nonzero(occupied & 1 == 0, axis=1).tolist()))
-    if len(alpha_counts) > 1:
-        raise ValueError(
-            f"determinants span several Sz sectors (alpha electron counts {alpha_counts}); "
-            "build each sector on its own"
-        )
-    n_a = alpha_counts[0]
-    string_h = _string_hamiltonian(m, n_a, occupied.shape[1] - n_a, t, v)
-    i_a, i_b, sign = _string_labels(occupied, m)
+    b = string_h.shape[2]
 
     def entries(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         r = rows[:, None]
-        h = string_h[i_a[r], i_a[cols], i_b[r], i_b[cols]]
-        h *= sign[r]
-        h *= sign[cols]
-        return h
+        return string_h[r // b, cols // b, r % b, cols % b]
 
     return entries
 
@@ -286,22 +250,6 @@ def _string_hamiltonian(m: int, n_a: int, n_b: int, t: np.ndarray, v: np.ndarray
     string_h[:, :: b + 1] += same[n_a].reshape(-1, 1)
     string_h[:: a + 1] += same[n_b].reshape(1, -1)
     return string_h.reshape(a, a, b, b)
-
-
-def _string_labels(occupied: np.ndarray, m: int):
-    """Alpha and beta string ranks of each determinant, and its reordering sign.
-
-    A determinant lists its spin orbitals interleaved (even = up); reordering
-    them into alpha-then-beta order passes every beta orbital below each alpha
-    orbital, so the sign is (-1)^(number of such pairs).
-    """
-    n_det, n = occupied.shape
-    up = occupied & 1 == 0
-    n_a = int(np.count_nonzero(up[0]))
-    alpha = (occupied[up] >> 1).reshape(n_det, n_a)
-    beta = (occupied[~up] >> 1).reshape(n_det, n - n_a)
-    sign = 1.0 - 2.0 * (np.count_nonzero(beta[:, None, :] < alpha[:, :, None], axis=(1, 2)) & 1)
-    return _string_rank(alpha, m), _string_rank(beta, m), sign
 
 
 def _orbital_parity(basis: OrbitalBasis, t: np.ndarray, v: np.ndarray):
@@ -341,42 +289,41 @@ class _Block(NamedTuple):
     weight: np.ndarray
 
 
-def _symmetry_blocks(dets, m: int, parity) -> list:
-    """Split the determinants of a complete Sz sector by spin flip (Sz = 0) and by ``parity``.
+def _symmetry_blocks(m: int, n_a: int, n_b: int, parity) -> list:
+    """Split the determinants of a sector by spin flip (Sz = 0) and by ``parity``.
 
-    Spin flip F swaps the alpha and beta strings: F|d> = sigma_d |d'> with
-    sigma_d = s(d) s(d') (-1)^(n_a n_b), s the alpha-then-beta reordering sign
-    of :func:`_string_labels`.  F commutes with the spin-free H and F^2 = 1,
-    so each eigenvalue f = +-1 of F spans a block of vectors
-    (|d> + f sigma_d |d'>)/sqrt(2), one per pair, plus the self-paired
-    determinants (d = d') with sigma_d = f.  Parity, when not None, splits each
-    block again by the product of the occupied orbitals' parities.  Empty
-    blocks are left out.
+    Spin flip F swaps the alpha and beta strings: it maps determinant
+    d = I_a b + I_b to sigma |d'>, d' = I_b b + I_a, with one sign
+    sigma = (-1)^(n_a n_b) for the whole sector, that of moving the n_a alpha
+    creators past the n_b beta ones.  F commutes with the spin-free H and
+    F^2 = 1, so for each phase c = +-1 the vectors (|d> + c |d'>)/sqrt(2), one
+    per pair, are eigenvectors of F of the one eigenvalue c sigma and span a
+    block of H.  A self-paired determinant (d = d') has eigenvalue sigma, so
+    it joins the block of c = 1.  Parity, when not None, splits each block
+    again by a determinant's parity, the product of its two strings'
+    parities, each the product of its orbitals' parities.  Empty blocks are
+    left out.
     """
-    occupied = np.array(dets, dtype=np.intp).reshape(len(dets), -1)
-    n_det, n = occupied.shape
-    index = np.arange(n_det)
-    i_a, i_b, sign = _string_labels(occupied, m)
-    n_a = int(np.count_nonzero(occupied[0] & 1 == 0))
-    if 2 * n_a == n:
-        count = math.comb(m, n_a)
-        position = np.empty(count * count, dtype=np.intp)
-        position[i_a * count + i_b] = index
-        partner = position[i_b * count + i_a]
-        sigma = sign * sign[partner] * (-1.0) ** (n_a * n_a)
-        flips = (1.0, -1.0)
+    a, b = math.comb(m, n_a), math.comb(m, n_b)
+    index = np.arange(a * b)
+    if n_a == n_b:
+        partner = (index % b) * b + index // b
+        phases = (1.0, -1.0)
     else:
-        partner, sigma, flips = index, np.ones(n_det), (1.0,)
-    det_parity = 1 if parity is None else np.prod(parity[occupied >> 1], axis=1)
+        partner, phases = index, (1.0,)
+    det_parity = 1
+    if parity is not None:
+        string_parity = [np.prod(parity[_strings(m, k)], axis=1) for k in (n_a, n_b)]
+        det_parity = np.multiply.outer(*string_parity).ravel()
     blocks = []
-    for f in flips:
-        kept = (index < partner) | ((index == partner) & (sigma == f))
+    for c in phases:
+        kept = index <= partner if c > 0 else index < partner
         for p in (1, -1):
             rows = np.flatnonzero(kept & (det_parity == p))
             if rows.size:
                 partners = partner[rows]
                 weight = np.where(partners == rows, 0.5, math.sqrt(0.5))
-                blocks.append(_Block(rows, partners, f * sigma[rows], weight))
+                blocks.append(_Block(rows, partners, np.full(rows.size, c), weight))
     return blocks
 
 
@@ -527,23 +474,27 @@ def full_ci_ground_state(
         )
     if sz is None:
         sz = 0.5 * (n % 2)
-    dets = enumerate_determinants(n_so, n, sz=sz)
-    if not dets:
+    m = basis.size
+    n_a = round(0.5 * n + sz)
+    n_b = n - n_a
+    if abs(n_a - 0.5 * n - sz) > 1e-12 or not (0 <= n_a <= m and 0 <= n_b <= m):
         raise ValueError("no determinants satisfy the requested spin projection")
     t = one_body_integrals(basis, system)
     v = two_body_integrals(basis, system.interaction_kernel)
-    if len(dets) < _DAVIDSON_MIN_DETERMINANTS:
-        energy, coeff = _eigh_lowest(ci_hamiltonian(dets, t, v))
+    string_h = _string_hamiltonian(m, n_a, n_b, t, v)
+    size = string_h.shape[0] * string_h.shape[2]
+    if size < _DAVIDSON_MIN_DETERMINANTS:
+        energy, coeff = _eigh_lowest(string_h.transpose(0, 2, 1, 3).reshape(size, size))
     else:
-        blocks = _symmetry_blocks(dets, basis.size, _orbital_parity(basis, t, v))
-        energy, coeff = _lowest_eigenpair(_sector_entries(dets, t, v), len(dets), blocks)
+        blocks = _symmetry_blocks(m, n_a, n_b, _orbital_parity(basis, t, v))
+        energy, coeff = _lowest_eigenpair(_sector_entries(string_h), size, blocks)
     # fix the overall phase for reproducibility
     pivot = int(np.argmax(np.abs(coeff)))
     if coeff[pivot] < 0:
         coeff = -coeff
     state = NBodyWavefunction(
         n_electrons=n,
-        determinants=dets,
+        determinants=_determinants(m, n_a, n_b),
         coefficients=coeff.astype(complex),
         basis=basis,
         sz=float(sz),
@@ -555,20 +506,21 @@ def exact_reduced_density_matrix(state: NBodyWavefunction, order: int) -> Densit
     """Order-n reduced matrix rho[p, q] = <Psi|a+_q1 ... a+_qn a_pn ... a_p1|Psi>.
 
     Rows and columns run over ordered spin-orbital tuples p = (p1, ..., pn),
-    p1 slowest.  Row p of D holds D_p = a_pn ... a_p1 |Psi> over the
-    (N - n)-electron strings, and rho = D D^H.  This equals the
-    first-quantized contraction over the remaining N - n coordinates with the
-    N!/(N-n)! prefactor, so the trace over ordered tuples reproduces that
-    normalization.
+    p1 slowest, each p_i numbered alpha 0 ... m - 1, then beta m ... 2m - 1.
+    A determinant's row of ascending spin orbitals is a string of N electrons
+    in those 2m orbitals, so its rank places its coefficient.  Row p of D
+    holds D_p = a_pn ... a_p1 |Psi> over the (N - n)-electron strings, and
+    rho = D D^H.  This equals the first-quantized contraction over the
+    remaining N - n coordinates with the N!/(N-n)! prefactor, so the trace
+    over ordered tuples reproduces that normalization.
     """
     n = state.n_electrons
     if not 1 <= order <= n:
         raise ValueError(f"order must lie in [1, {n}], got {order}")
     m = 2 * state.basis.size
     check_matrix_size(m, order)
-    occupied = np.array(state.determinants, dtype=np.intp).reshape(len(state.determinants), n)
     d = np.zeros((1, math.comb(m, n)), dtype=complex)
-    d[0, _string_rank(occupied, m)] = state.coefficients
+    d[0, _string_rank(state.determinants, m)] = state.coefficients
     for remaining in range(n, n - order, -1):
         d = _annihilate(d, m, remaining)
     return DensityMatrix(
@@ -600,28 +552,30 @@ def _annihilate(d: np.ndarray, m: int, k: int) -> np.ndarray:
 def reduced_density_matrix_on_grid(
     state: NBodyWavefunction, order: int
 ) -> DensityMatrix:
-    """Spin-traced grid-space reduced matrix of the oracle state (order 1 or 2)."""
+    """Spin-traced grid-space reduced matrix of the oracle state (order 1 or 2).
+
+    Spin orbital s m + i of :func:`exact_reduced_density_matrix` is spatial
+    orbital i with spin s (0 alpha, 1 beta), so each spin index of the
+    spin-orbital matrix is split off by a reshape to (2, m).
+    """
     if order not in (1, 2):
         raise ValueError("grid-space reduction implemented for orders 1 and 2")
     rho_orb = exact_reduced_density_matrix(state, order)
     phi = state.basis.functions
-    g = phi.shape[0]
-    m_so = rho_orb.dim_single
-    m = m_so // 2
+    g, m = phi.shape
     if order == 1:
-        mat = rho_orb.matrix
+        spins = rho_orb.matrix.reshape(2, m, 2, m)
         out = np.zeros((g, g), dtype=complex)
         for s in (0, 1):
-            block = mat[s::2, s::2]
-            out += phi @ block @ phi.conj().T
+            out += phi @ spins[s, :, s] @ phi.conj().T
         result = out
     else:
         check_matrix_size(g, 2)
-        tens = rho_orb.matrix.reshape(m_so, m_so, m_so, m_so)
+        spins = rho_orb.matrix.reshape(2, m, 2, m, 2, m, 2, m)
         out = np.zeros((g, g, g, g), dtype=complex)
         for s1 in (0, 1):
             for s2 in (0, 1):
-                block = tens[s1::2, s2::2, s1::2, s2::2]
+                block = spins[s1, :, s2, :, s1, :, s2]
                 # contract one spatial index at a time to keep intermediates small
                 step = np.einsum("ip,pqrs->iqrs", phi, block)
                 step = np.einsum("jq,iqrs->ijrs", phi, step)

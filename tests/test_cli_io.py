@@ -339,32 +339,42 @@ class TestCli:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
-        "payload,message,edge",
+        "payload,message,edges",
         [
             (
                 {"spectrum": {"n_values": [2, 3, 3]}},
                 "spectrum.n_values[2]: 3 repeats an earlier value",
-                {"spectrum": {"n_values": [2, 3, 4]}},
+                [{"spectrum": {"n_values": [2, 3, 4]}}],
             ),
             (
                 {"system": {"points": 8, "electrons": 18}, "oracle": {"enabled": False}},
                 "system.electrons: at most two per grid point, so at most 16",
-                {"system": {"points": 8, "electrons": 16}, "oracle": {"enabled": False}},
+                [{"system": {"points": 8, "electrons": 16}, "oracle": {"enabled": False}}],
             ),
             (
                 {"system": {"points": 12}, "quasiparticle": {"band": 12}},
                 "quasiparticle.band: must be below the band count system.points = 12",
-                {"system": {"points": 12}, "quasiparticle": {"band": 11}},
+                [{"system": {"points": 12}, "quasiparticle": {"band": 11}}],
+            ),
+            (
+                # the order-2 matrix over 54 spin orbitals holds (54^2)^2 > 8e6 entries
+                {"system": {"points": 28, "electrons": 2}, "oracle": {"orbital_cutoff": 27}},
+                "oracle.orbital_cutoff: density matrix too large: dim 54^2 squared",
+                [
+                    {"system": {"points": 28, "electrons": 2}, "oracle": {"orbital_cutoff": 26}},
+                    {"system": {"points": 28, "electrons": 1}, "oracle": {"orbital_cutoff": 27}},
+                ],
             ),
         ],
-        ids=["repeated-n", "electrons-over-grid", "band-over-grid"],
+        ids=["repeated-n", "electrons-over-grid", "band-over-grid", "oracle-pair-matrix"],
     )
     def test_config_a_stage_would_reject_is_a_config_error(
-        self, tmp_path, capsys, payload, message, edge
+        self, tmp_path, capsys, payload, message, edges
     ):
         # each used to pass validation and fail its stage with exit 3
         self._assert_config_error(Path(self._write_config(tmp_path, payload)), capsys, message)
-        RunConfig.from_dict(edge)
+        for edge in edges:
+            RunConfig.from_dict(edge)
 
     def test_missing_config_file_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "absent.json"

@@ -8,8 +8,6 @@ import pytest
 from qpbench import many_body
 from qpbench.many_body import (
     NBodyWavefunction,
-    ci_hamiltonian,
-    enumerate_determinants,
     exact_reduced_density_matrix,
     full_ci_ground_state,
     natural_occupations,
@@ -55,8 +53,8 @@ class TestNoninteractingLimits:
         energy, state = full_ci_ground_state(system, orbital_cutoff=6, sz=1.0)
         assert energy == pytest.approx(levels[0] + levels[1], abs=1e-12)
         assert state.sz == 1.0
-        # even spin-orbital indices are spin up: both electrons sit on even indices
-        assert all(p % 2 == 0 for det in state.determinants for p in det)
+        # spin orbitals below m = 6 are spin up: both electrons sit there
+        assert np.all(state.determinants < 6)
 
 
 class TestVariationalBehavior:
@@ -130,7 +128,7 @@ class TestWavefunction:
             # its N! orderings are the only other nonzero entries
             scale = math.sqrt(math.factorial(n_elec))
             for det, c in zip(state.determinants, state.coefficients):
-                assert amp[det] == pytest.approx(c / scale, rel=1e-15, abs=0)
+                assert amp[tuple(det)] == pytest.approx(c / scale, rel=1e-15, abs=0)
             nonzero = np.count_nonzero(state.coefficients)
             assert nonzero > 1
             assert np.count_nonzero(amp) == math.factorial(n_elec) * nonzero
@@ -147,10 +145,13 @@ class TestWavefunction:
 
 
 def spin_orbital_integrals(t, v):
-    """Spin-orbital t_so[p, q] and <pq|v|rs>, built apart from the CI code."""
-    n_so = 2 * t.shape[0]
-    spatial = np.arange(n_so) // 2
-    spin = np.arange(n_so) % 2
+    """Spin-orbital t_so[p, q] and <pq|v|rs>, built apart from the CI code.
+
+    Spin orbital p is spatial orbital p % m with spin p // m (0 up, 1 down).
+    """
+    m = t.shape[0]
+    spatial = np.arange(2 * m) % m
+    spin = np.arange(2 * m) // m
     same = spin[:, None] == spin[None, :]
     t_so = same * t[np.ix_(spatial, spatial)]
     v_so = (
@@ -162,7 +163,7 @@ def spin_orbital_integrals(t, v):
 
 
 def loop_slater_condon(d1, d2, t_so, v_so):
-    """Per-pair Slater-Condon element: the loop reference for ``ci_hamiltonian``."""
+    """Per-pair Slater-Condon element between two sorted spin-orbital tuples."""
     s1, s2 = set(d1), set(d2)
     diff1, diff2 = sorted(s1 - s2), sorted(s2 - s1)
     if len(diff1) > 2:
@@ -185,7 +186,17 @@ def loop_slater_condon(d1, d2, t_so, v_so):
 
 def loop_hamiltonian(dets, t, v):
     t_so, v_so = spin_orbital_integrals(t, v)
+    dets = [tuple(det) for det in dets]
     return np.array([[loop_slater_condon(a, b, t_so, v_so) for b in dets] for a in dets])
+
+
+def sector(t, v, n_a, n_b):
+    """Rows and dense CI matrix of the sector with n_a up and n_b down electrons."""
+    m = t.shape[0]
+    string_h = many_body._string_hamiltonian(m, n_a, n_b, t, v)
+    size = string_h.shape[0] * string_h.shape[2]
+    h = string_h.transpose(0, 2, 1, 3).reshape(size, size)
+    return many_body._determinants(m, n_a, n_b), h
 
 
 def integrals(system, cutoff):
@@ -198,18 +209,26 @@ def integrals(system, cutoff):
 
 class TestDeterminantEnumeration:
     def test_sector_matches_full_space_filter(self):
-        # the reference walks every combination and keeps the requested Sz
+        # the reference walks every combination and keeps those with n_a up
+        # electrons (spin orbitals below the cutoff), in their order
         for cutoff in range(1, 7):
             for n_elec in range(5):
                 full = list(itertools.combinations(range(2 * cutoff), n_elec))
-                for two_sz in range(-n_elec - 2, n_elec + 3):
-                    sz = 0.5 * two_sz
-                    expect = tuple(
-                        det
-                        for det in full
-                        if sum(0.5 if p % 2 == 0 else -0.5 for p in det) == sz
-                    )
-                    assert enumerate_determinants(2 * cutoff, n_elec, sz=sz) == expect
+                for n_a in range(n_elec + 1):
+                    expect = [det for det in full if sum(p < cutoff for p in det) == n_a]
+                    rows = many_body._determinants(cutoff, n_a, n_elec - n_a)
+                    assert rows.shape == (len(expect), n_elec)
+                    assert [tuple(row) for row in rows.tolist()] == expect
+
+    @pytest.mark.parametrize(
+        "n_elec,cutoff,sz", [(2, 4, 0.25), (2, 4, 1.5), (4, 3, 2.0)]
+    )
+    def test_unreachable_spin_projection_rejected(self, n_elec, cutoff, sz):
+        # half-integer Sz for even N, |Sz| above N/2, and four up electrons in
+        # three orbitals
+        system = build_soft_coulomb_system((12, 0.5), 2.0, 1.0, n_elec, BOX)
+        with pytest.raises(ValueError, match="no determinants satisfy"):
+            full_ci_ground_state(system, orbital_cutoff=cutoff, sz=sz)
 
 
 class TestSlaterCondonAgainstDenseHamiltonian:
@@ -217,17 +236,16 @@ class TestSlaterCondonAgainstDenseHamiltonian:
         # independent oracle: apply H on the full ordered-tuple space and
         # sandwich it between explicitly antisymmetrized amplitude tensors.
         # N = 3 checks the single-excitation sign with spectator electrons;
-        # N = 4 puts two electrons of each spin behind the alpha/beta reordering
-        # sign and the same-spin pair term of the string build.  Every nonempty
-        # sector of N = 2 and N = 4 in three orbitals is covered.
-        cases = [(2, -1.0), (2, 0.0), (2, 1.0), (3, 0.5), (4, -1.0), (4, 0.0), (4, 1.0)]
-        for n_elec, sz in cases:
+        # N = 4 puts two electrons of each spin through the opposite-spin
+        # product and the same-spin pair term of the string build.  Every
+        # nonempty sector of N = 2 and N = 4 in three orbitals is covered.
+        cases = [(2, 0), (2, 1), (2, 2), (3, 2), (4, 1), (4, 2), (4, 3)]
+        for n_elec, n_a in cases:
             system = build_soft_coulomb_system((10, 0.5), 1.5, 1.0, n_elec, BOX)
             t, v = integrals(system, 3)
             t_so, v_so = spin_orbital_integrals(t, v)
             n_so = 6
-            dets = enumerate_determinants(n_so, n_elec, sz=sz)
-            h_ci = ci_hamiltonian(dets, t, v)
+            dets, h_ci = sector(t, v, n_a, n_elec - n_a)
 
             def apply_h(amp):
                 out = np.zeros_like(amp)
@@ -256,19 +274,9 @@ class TestSlaterCondonAgainstDenseHamiltonian:
     def test_matrix_matches_per_pair_loop_in_every_sector(self, n_elec):
         system = build_soft_coulomb_system((12, 0.5), 2.0, 1.0, n_elec, BOX)
         t, v = integrals(system, 4)
-        for sz in [0.5 * k for k in range(-n_elec, n_elec + 1, 2)]:
-            dets = enumerate_determinants(8, n_elec, sz=sz)
-            expect = loop_hamiltonian(dets, t, v)
-            assert np.max(np.abs(ci_hamiltonian(dets, t, v) - expect)) < 1e-13
-
-    def test_mixed_sz_list_is_rejected(self):
-        system = build_soft_coulomb_system((12, 0.5), 2.0, 1.0, 4, BOX)
-        t, v = integrals(system, 5)
-        whole = tuple(itertools.combinations(range(10), 4))
-        two = enumerate_determinants(10, 4, sz=0.0) + enumerate_determinants(10, 4, sz=1.0)
-        for dets in (whole, two, two[-1:] + two[:1]):
-            with pytest.raises(ValueError, match="several Sz sectors"):
-                ci_hamiltonian(dets, t, v)
+        for n_a in range(n_elec + 1):
+            dets, h = sector(t, v, n_a, n_elec - n_a)
+            assert np.max(np.abs(h - loop_hamiltonian(dets, t, v))) < 1e-13
 
 
 def eigh_pair(h):
@@ -279,9 +287,9 @@ def eigh_pair(h):
 
 
 def sector_hamiltonian(system, cutoff):
+    """The default sector (ceil(N/2) up electrons): its rows and dense CI matrix."""
     n = system.n_electrons
-    dets = enumerate_determinants(2 * cutoff, n, sz=0.5 * (n % 2))
-    return dets, ci_hamiltonian(dets, *integrals(system, cutoff))
+    return sector(*integrals(system, cutoff), (n + 1) // 2, n // 2)
 
 
 @pytest.fixture
@@ -574,7 +582,7 @@ class TestOracleShapeRegression:
         basis = orbital_basis(system, 8)
         parity = many_body._orbital_parity(basis, *integrals(system, 8))
         assert parity is not None
-        blocks = many_body._symmetry_blocks(dets, 8, parity)
+        blocks = many_body._symmetry_blocks(8, 2, 2, parity)
         assert sorted(b.rows.size for b in blocks) == [186, 192, 192, 214]
         u = block_transform(blocks, len(dets))
         assert np.max(np.abs(u.T @ u - np.eye(len(dets)))) < 1e-15
@@ -595,8 +603,8 @@ class TestOracleShapeRegression:
         system, dets, h = oracle_shape
         t, v = integrals(system, 8)
         parity = many_body._orbital_parity(orbital_basis(system, 8), t, v)
-        entries = many_body._sector_entries(dets, t, v)
-        blocks = many_body._symmetry_blocks(dets, 8, parity)
+        entries = many_body._sector_entries(many_body._string_hamiltonian(8, 2, 2, t, v))
+        blocks = many_body._symmetry_blocks(8, 2, 2, parity)
         assert any(not np.array_equal(b.rows, b.partners) for b in blocks)
         for block in blocks:
             assert np.array_equal(many_body._block_matrix(entries, block), cut_block(h, block))
@@ -616,15 +624,14 @@ class TestOracleShapeRegression:
         assert peak < 8e6
 
     def test_build_memory_stays_within_a_few_matrices(self):
-        # tracemalloc sees numpy's buffers; the build peaks near 2.1 matrices
-        # here, the result included (string products and output)
+        # tracemalloc sees numpy's buffers; the build peaks near 2.0 matrices
+        # here, the result included (string products and their transposed copy)
         system = build_soft_coulomb_system((16, 0.5), 2.0, 1.0, 4, BOX)
         t, v = integrals(system, 8)
-        dets = enumerate_determinants(16, 4, sz=0.0)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            h = ci_hamiltonian(dets, t, v)
+            _, h = sector(t, v, 2, 2)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
