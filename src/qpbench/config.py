@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .density_matrix import check_matrix_size
+from .many_body import check_configuration_space
 
 
 class ConfigError(ValueError):
@@ -190,9 +191,12 @@ def validate_config(raw: dict) -> dict:
                 f"oracle.orbital_cutoff: the {sysconf['electrons']} electrons of system.electrons "
                 f"need at least {needed} spatial orbitals, got {data['oracle']['orbital_cutoff']}"
             )
-        # the oracle stage writes the spin-orbital density matrices up to order 2
+        # the oracle stage builds the full CI over C(2 cutoff, N) determinants
+        # and writes the spin-orbital density matrices up to order 2
+        n_so = 2 * data["oracle"]["orbital_cutoff"]
         try:
-            check_matrix_size(2 * data["oracle"]["orbital_cutoff"], min(sysconf["electrons"], 2))
+            check_configuration_space(n_so, sysconf["electrons"])
+            check_matrix_size(n_so, min(sysconf["electrons"], 2))
         except ValueError as exc:
             raise ConfigError(f"oracle.orbital_cutoff: {exc}") from exc
     return data

@@ -14,11 +14,12 @@ determinants is read from it directly.  H keeps spin flip (at
 Sz = 0) and, when the orbitals and integrals show it, reflection parity; a
 sector of at least ``_DAVIDSON_MIN_DETERMINANTS`` determinants is split into
 those symmetry blocks, each gathered straight from the string products.  A
-Davidson loop finds the lowest eigenpair of the block with the lowest
-diagonal element and certifies it by a Cholesky factorization, and a
-Cholesky factor of every other block proves that no block holds a lower
-level.  The dense sector matrix is formed only for smaller sectors and for
-the full ``eigh`` that is the fallback.  Reduced density matrices of every
+Davidson loop finds the lowest Ritz pair of the block with the lowest
+diagonal element, and one rule certifies it: every block, that one first
+lifted along the Ritz vector, must have a Cholesky factor once shifted
+above the Ritz value by a gap.  The dense sector matrix is formed in one
+place, for a full ``eigh`` of smaller sectors and of every sector whose
+loop or certificate fails.  Reduced density matrices of every
 order come from annihilation strings: a_pn ... a_p1 |Psi> for each ordered
 tuple p, over the (N - n)-electron strings.
 """
@@ -346,36 +347,34 @@ def _unblock(block: _Block, y: np.ndarray, n: int) -> np.ndarray:
     return x
 
 
-def _lowest_eigenpair(entries, n: int, blocks: list) -> tuple[float, np.ndarray]:
-    """Lowest eigenvalue and unit eigenvector of an n x n H, certified block by block.
+def _lowest_eigenpair(entries, n: int, blocks: list):
+    """Certified lowest eigenvalue and unit eigenvector of an n x n H, or None.
 
     ``entries(rows, cols)`` reads H[rows][:, cols], and ``blocks`` are the
-    symmetry blocks of H (:func:`_symmetry_blocks`).  The block with the
-    lowest diagonal element runs :func:`_davidson`, which certifies its pair
-    (theta, y) as that block's lowest, separated from the block's next level
-    by ``_DAVIDSON_MIN_GAP``.  Every other block B must then have a Cholesky
-    factor of B - (theta + gap) I, so all its eigenvalues lie above
-    theta + gap.  Together these prove theta the lowest eigenvalue of the
-    blocked operator, with a unique eigenvector.  When any certificate fails,
-    a full ``eigh`` of the dense H gives the pair.
+    symmetry blocks of H (:func:`_symmetry_blocks`).  :func:`_davidson` runs
+    on the block with the lowest diagonal element, and its Ritz pair
+    (theta, y) is accepted by one rule: every block B, the Davidson block
+    first lifted to B + s y y^T with s = max(1, |theta|) > gap, must have a
+    Cholesky factor of B - (theta + gap) I, so all its eigenvalues lie above
+    theta + gap.  The lifted block equals B on the complement of y, so by
+    Courant-Fischer the second eigenvalue of B lies above theta + gap, and
+    the eigenvalue within |B y - theta y| of theta is its lowest; a further
+    symmetry that kept the loop in its start vector's sector fails here.
+    Every other block lies wholly above theta + gap.  Together these prove
+    theta the lowest eigenvalue of the blocked operator, separated from the
+    next by ``_DAVIDSON_MIN_GAP``, so y is unique.  None when the loop does
+    not converge or any factor fails.
     """
     matrices = [_block_matrix(entries, block) for block in blocks]
     ground = int(np.argmin([np.min(np.diagonal(b)) for b in matrices]))
     pair = _davidson(matrices[ground])
-    if pair is not None and all(
-        _exceeds(b, pair[0] + _DAVIDSON_MIN_GAP)
-        for j, b in enumerate(matrices)
-        if j != ground
-    ):
-        return pair[0], _unblock(blocks[ground], pair[1], n)
-    everything = np.arange(n)
-    return _eigh_lowest(entries(everything, everything))
-
-
-def _eigh_lowest(h: np.ndarray) -> tuple[float, np.ndarray]:
-    """Lowest eigenvalue and its unit eigenvector, by a full ``eigh``."""
-    eigvals, eigvecs = np.linalg.eigh(h)
-    return float(eigvals[0]), eigvecs[:, 0]
+    if pair is None:
+        return None
+    theta, y = pair
+    matrices[ground] += np.outer(y, max(1.0, abs(theta)) * y)
+    if all(_exceeds(b, theta + _DAVIDSON_MIN_GAP) for b in matrices):
+        return theta, _unblock(blocks[ground], y, n)
+    return None
 
 
 def _exceeds(a: np.ndarray, shift: float) -> bool:
@@ -392,7 +391,7 @@ def _exceeds(a: np.ndarray, shift: float) -> bool:
 
 
 def _davidson(h: np.ndarray):
-    """Certified lowest eigenpair by Davidson's method, or None to fall back.
+    """Converged lowest Ritz pair (theta, x) by Davidson's method, x of unit norm.
 
     E. R. Davidson, J. Comput. Phys. 17, 87 (1975): the subspace starts from
     the lowest diagonal element and grows by the diagonally preconditioned
@@ -400,14 +399,9 @@ def _davidson(h: np.ndarray):
     symmetry block of a CI sector.  Should it hold a further symmetry, the loop
     never leaves its start vector's sector: it may converge to a higher
     eigenvalue, and its Ritz values cannot see a degenerate partner from
-    another sector.  A converged pair (theta, x) is therefore accepted only if
-    H + s x x^T - (theta + gap) I has a Cholesky factor (s > gap).  On the
-    complement of x that matrix equals H - (theta + gap) I, so by
-    Courant-Fischer the second eigenvalue of H lies above theta + gap; the
-    eigenvalue within |H x - theta x| of theta is then the lowest, and it is
-    separated from the rest by at least ``_DAVIDSON_MIN_GAP``, so x is unique.
-    None when the loop does not converge within ``_DAVIDSON_MAX_ITER``
-    iterations or when the certificate fails.
+    another sector, so the pair is not certified here (see
+    :func:`_lowest_eigenpair`).  None when the loop does not converge within
+    ``_DAVIDSON_MAX_ITER`` iterations.
     """
     n = h.shape[0]
     diag = np.diagonal(h)
@@ -433,11 +427,17 @@ def _davidson(h: np.ndarray):
             step -= basis[:, :m] @ (basis[:, :m].T @ step)
         basis[:, m] = step / np.linalg.norm(step)
     x /= np.linalg.norm(x)
-    deflated = np.outer(x, scale * x)  # lifts theta by scale > gap
-    deflated += h
-    if not _exceeds(deflated, theta + _DAVIDSON_MIN_GAP):
-        return None
     return float(theta), x
+
+
+def check_configuration_space(n_spin_orbitals: int, n_electrons: int) -> None:
+    """Raise ValueError when C(n_spin_orbitals, n_electrons) exceeds ``_MAX_DETERMINANTS``."""
+    n_dets = math.comb(n_spin_orbitals, n_electrons)
+    if n_dets > _MAX_DETERMINANTS:
+        raise ValueError(
+            f"configuration space too large: C({n_spin_orbitals}, {n_electrons}) = {n_dets} "
+            f"exceeds the {_MAX_DETERMINANTS} determinant limit"
+        )
 
 
 def full_ci_ground_state(
@@ -448,13 +448,14 @@ def full_ci_ground_state(
     """Lowest eigenpair of the exact N-body Hamiltonian in the truncated orbital set.
 
     A sector of at least ``_DAVIDSON_MIN_DETERMINANTS`` determinants is split
-    by spin flip and orbital parity (:func:`_symmetry_blocks`), and the pair
-    comes from :func:`_lowest_eigenpair`: a certified Davidson loop on the
-    block with the lowest diagonal element and a Cholesky factor of every
-    other block, each block gathered from the string products.  Smaller
-    sectors, and every sector where a certificate fails, form the dense
-    sector matrix and take a full ``eigh``.  The overall sign makes
-    the largest-magnitude coefficient positive.  The energy is variational: it
+    by spin flip and orbital parity (:func:`_symmetry_blocks`), each block
+    gathered from the string products, and the pair comes from
+    :func:`_lowest_eigenpair`: a Davidson loop on the block with the lowest
+    diagonal element, certified by one Cholesky rule applied to every block.
+    Smaller sectors, and every sector whose loop or certificate fails, take
+    a full ``eigh`` of the dense sector matrix, which only this function
+    forms.  The overall sign makes the largest-magnitude coefficient
+    positive.  The energy is variational: it
     can only decrease when ``orbital_cutoff`` grows.  Only determinants of
     total spin projection ``sz`` enter (e.g. ``sz=1.0`` for two aligned
     electrons).  The default is the lowest-|Sz| sector, 0 for even N and +1/2
@@ -465,13 +466,7 @@ def full_ci_ground_state(
     if n > _MAX_ELECTRONS:
         raise ValueError(f"oracle supports N <= {_MAX_ELECTRONS}, got {n}")
     basis = orbital_basis(system, orbital_cutoff)
-    n_so = 2 * basis.size
-    n_dets = math.comb(n_so, n)
-    if n_dets > _MAX_DETERMINANTS:
-        raise ValueError(
-            f"configuration space too large: C({n_so}, {n}) = {n_dets} "
-            f"exceeds the {_MAX_DETERMINANTS} determinant limit"
-        )
+    check_configuration_space(2 * basis.size, n)
     if sz is None:
         sz = 0.5 * (n % 2)
     m = basis.size
@@ -483,11 +478,14 @@ def full_ci_ground_state(
     v = two_body_integrals(basis, system.interaction_kernel)
     string_h = _string_hamiltonian(m, n_a, n_b, t, v)
     size = string_h.shape[0] * string_h.shape[2]
-    if size < _DAVIDSON_MIN_DETERMINANTS:
-        energy, coeff = _eigh_lowest(string_h.transpose(0, 2, 1, 3).reshape(size, size))
-    else:
+    pair = None
+    if size >= _DAVIDSON_MIN_DETERMINANTS:
         blocks = _symmetry_blocks(m, n_a, n_b, _orbital_parity(basis, t, v))
-        energy, coeff = _lowest_eigenpair(_sector_entries(string_h), size, blocks)
+        pair = _lowest_eigenpair(_sector_entries(string_h), size, blocks)
+    if pair is None:
+        eigvals, eigvecs = np.linalg.eigh(string_h.transpose(0, 2, 1, 3).reshape(size, size))
+        pair = float(eigvals[0]), eigvecs[:, 0]
+    energy, coeff = pair
     # fix the overall phase for reproducibility
     pivot = int(np.argmax(np.abs(coeff)))
     if coeff[pivot] < 0:

@@ -365,8 +365,23 @@ class TestCli:
                     {"system": {"points": 28, "electrons": 1}, "oracle": {"orbital_cutoff": 27}},
                 ],
             ),
+            (
+                # the full CI over 28 spin orbitals holds C(28, 4) = 20475 > 20000 determinants
+                {"system": {"points": 16, "electrons": 4}, "oracle": {"orbital_cutoff": 14}},
+                "oracle.orbital_cutoff: configuration space too large: C(28, 4) = 20475",
+                [
+                    {"system": {"points": 16, "electrons": 4}, "oracle": {"orbital_cutoff": 13}},
+                    {"system": {"points": 16, "electrons": 2}, "oracle": {"orbital_cutoff": 14}},
+                ],
+            ),
         ],
-        ids=["repeated-n", "electrons-over-grid", "band-over-grid", "oracle-pair-matrix"],
+        ids=[
+            "repeated-n",
+            "electrons-over-grid",
+            "band-over-grid",
+            "oracle-pair-matrix",
+            "oracle-determinants",
+        ],
     )
     def test_config_a_stage_would_reject_is_a_config_error(
         self, tmp_path, capsys, payload, message, edges

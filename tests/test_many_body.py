@@ -391,10 +391,11 @@ def tilted_kernel_system():
 
 
 class TestLowestEigenpair:
-    def test_other_symmetry_block_is_caught_by_the_certificate(self):
+    def test_other_symmetry_block_is_caught_by_the_certificate(self, davidson_spy):
         # The lowest diagonal element sits in sub-block a, the lowest eigenvalue
-        # in sub-block b.  A diagonal preconditioner never couples them, so the
-        # loop converges inside a; only the deflated certificate can tell.
+        # in sub-block b, and both lie in one block.  A diagonal preconditioner
+        # never couples them, so the loop converges inside a; only the factor
+        # of the lifted block can tell.
         n = many_body._DAVIDSON_MIN_DETERMINANTS
         rng = np.random.default_rng(3)
 
@@ -407,12 +408,14 @@ class TestLowestEigenpair:
         h[:n, :n], h[n:, n:] = a, b
         assert np.argmin(np.diag(h)) < n
         assert np.linalg.eigvalsh(b)[0] < np.linalg.eigvalsh(a)[0] - 0.3
-        assert many_body._davidson(h) is None
+        pair = many_body._lowest_eigenpair(dense_entries(h), 2 * n, plain_blocks([2 * n]))
+        assert pair is None
+        assert davidson_spy[0][0] == pytest.approx(np.linalg.eigvalsh(a)[0], abs=1e-10)
 
     @pytest.mark.parametrize("lowest", [1, 2, 3])
     def test_every_other_block_is_factored(self, lowest, davidson_spy):
         # Block 0 holds the lowest diagonal element, so the loop runs there and
-        # certifies its own lowest level; the lower level of block ``lowest``
+        # converges to its own lowest level; the lower level of block ``lowest``
         # is caught only by that block's Cholesky factor.
         size = 64
         rng = np.random.default_rng(7)
@@ -426,24 +429,21 @@ class TestLowestEigenpair:
         for k, b in enumerate(blocks):
             h[k * size:(k + 1) * size, k * size:(k + 1) * size] = b
         assert np.argmin(np.diag(h)) < size
-        energy, vec = many_body._lowest_eigenpair(
-            dense_entries(h), 4 * size, plain_blocks([size] * 4)
-        )
-        assert davidson_spy[0] is not None
-        eigvals, eigvecs = np.linalg.eigh(h)
-        assert energy == eigvals[0]
-        assert np.array_equal(vec, eigvecs[:, 0])
+        pair = many_body._lowest_eigenpair(dense_entries(h), 4 * size, plain_blocks([size] * 4))
+        assert pair is None
+        assert davidson_spy[0][0] == pytest.approx(np.linalg.eigvalsh(blocks[0])[0], abs=1e-10)
+        assert np.linalg.eigvalsh(blocks[lowest])[0] < davidson_spy[0][0] - 0.1
 
     @pytest.mark.parametrize("gap", [0.0, 1e-4])
     def test_degenerate_lowest_pair_falls_back_to_eigh(self, gap, davidson_spy):
+        # the loop converges, and the factor of its lifted block rejects a
+        # second level within the gap; on None full_ci_ground_state takes the
+        # full eigh (test_iteration_cap_falls_back_to_eigh)
         n = many_body._DAVIDSON_MIN_DETERMINANTS + 72
         levels = np.concatenate([[-1.0, -1.0 + gap], np.linspace(0.0, 5.0, n - 2)])
         h = symmetric_with_spectrum(levels, seed=5)
-        energy, vec = many_body._lowest_eigenpair(dense_entries(h), n, plain_blocks([n]))
-        assert davidson_spy == [None]
-        eigvals, eigvecs = np.linalg.eigh(h)
-        assert energy == eigvals[0]
-        assert np.array_equal(vec, eigvecs[:, 0])
+        assert many_body._lowest_eigenpair(dense_entries(h), n, plain_blocks([n])) is None
+        assert davidson_spy[0][0] == pytest.approx(-1.0, abs=1e-10)
 
     def test_separated_lowest_pair_is_accepted(self, davidson_spy):
         n = many_body._DAVIDSON_MIN_DETERMINANTS + 72
