@@ -1,14 +1,16 @@
 """Frequency-domain one-particle propagators and the Dyson equation.
 
 The free propagator is built from a converged mean-field Hamiltonian as
-G0(w) = (w + i eta - H)^-1 on a broadened real-frequency grid; the dressed
-propagator solves G = G0 + G0 Sigma G under a model correlation self-energy.
-A self-energy is a plain array: a static Hermitian (d, d) kernel, or an
-(n, d, d) table aligned with the grid it is sampled on (frequencies here,
-momenta in ``quasiparticle.mass_shift``).  For a static Hermitian
-self-energy the pipeline takes the spectral function as a Lehmann sum over
-the levels of H + Sigma and checks the direct Dyson solve only on a pinned
-subsample of the grid.
+G0(w) = (w + i eta - H)^-1 on a broadened real-frequency grid.  It is taken
+in closed form from one ``eigh`` of H, G0(w) = U diag(1 / (w + i eta -
+lambda)) U^H, so no matrix is inverted.  The dressed propagator solves
+G = G0 + G0 Sigma G under a model correlation self-energy.  A self-energy is
+a plain array: a static Hermitian (d, d) kernel, or an (n, d, d) table
+aligned with the grid it is sampled on (frequencies here, momenta in
+``quasiparticle.mass_shift``).  For a static Hermitian self-energy the
+pipeline takes the spectral function as a Lehmann sum over the levels of
+H + Sigma and checks the direct Dyson solve only on a pinned subsample of
+the grid.
 """
 
 from __future__ import annotations
@@ -102,19 +104,23 @@ def free_green(
 ) -> GreenFunction:
     """Free propagator (w + i eta - H)^-1 of a Hermitian mean-field operator.
 
-    Inverts block by block into one preallocated (nw, d, d) result, so no
-    temporary the size of the propagator is made.
+    One ``eigh`` of H = U diag(lambda) U^H gives every frequency in closed
+    form, G0(w) = U diag(1 / (w + i eta - lambda)) U^H, so no matrix is
+    inverted.  The products are written block by block into one preallocated
+    (nw, d, d) result, so no temporary the size of the propagator is made.
     """
     h = np.asarray(hf_hamiltonian)
     if eta <= 0:
         raise ValueError("broadening eta must be positive")
     check_hermitian(h, "mean-field Hamiltonian")
     omegas = np.asarray(omega_grid, dtype=float)
+    levels, u = np.linalg.eigh(h)
+    u_h = u.conj().T
     d = h.shape[0]
-    eye = np.eye(d)
     matrices = np.empty((omegas.size, d, d), dtype=complex)
     for b in _blocks(omegas.size, d):
-        matrices[b] = np.linalg.inv((omegas[b, None, None] + 1j * eta) * eye - h)
+        poles = 1.0 / ((omegas[b, None] + 1j * eta) - levels)
+        np.matmul(u * poles[:, None, :], u_h, out=matrices[b])
     return GreenFunction(omegas=omegas, eta=eta, matrices=matrices)
 
 

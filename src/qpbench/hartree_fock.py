@@ -3,18 +3,27 @@
 Closed-shell occupation throughout: each spatial orbital holds two electrons,
 with the one-electron system treated specially (its Coulomb and exchange
 self-interaction cancel identically, so both terms are dropped).  Exchange is
-always applied as a full nonlocal matrix.
+nonlocal: a full matrix wherever an operator is assembled, and a sum of
+orbital products where only its action on the occupied orbitals is needed.
 
 One SCF loop serves every caller.  It iterates a stack of momenta in lockstep
 (a band structure passes its momenta k > 0, :func:`scf_solve` one momentum),
 accelerated by Pulay DIIS on the commutator error [F, gamma] (Pulay, Chem.
-Phys. Lett. 73, 393 (1980); J. Comput. Chem. 3, 556 (1982)).  Each DIIS step
-needs only the occupied orbitals of the extrapolated operator.  With one
-occupied orbital on a grid of at least ``_LOWEST_ORBITAL_MIN_POINTS`` points,
+Phys. Lett. 73, 393 (1980); J. Comput. Chem. 3, 556 (1982)).  The residual
+and energy of an iterate need only F[gamma] psi, which
+:func:`_fock_on_orbitals` takes from orbital products without forming the
+g x g operator; only the extrapolated operator of each DIIS step and the
+final record are assembled (:func:`_mean_field`).  Each DIIS step needs only
+the occupied orbitals of the extrapolated operator.  With one occupied
+orbital on a grid of at least ``_LOWEST_ORBITAL_MIN_POINTS`` points,
 :func:`_lowest_orbital` finds it by Rayleigh-quotient iteration from the
-previous iterate; every other eigensolve is a full ``eigh``.  Intermediate
-iterates only steer the path, so no step checks that its orbitals are the
-lowest: one aufbau verdict on the converged occupation does, on every route.
+previous iterate, and a complex stack (k != 0) takes its start the same way,
+from the real zone-centre core orbital times the Bloch ramp e^{ik(x - x0)}.
+Every other eigensolve is a full ``eigh``: the core start of a box or a zone
+centre, every step with more than one occupied orbital, and the final
+all-band solve.  Intermediate iterates only steer the path, so no step
+checks that its orbitals are the lowest: one aufbau verdict on the converged
+occupation does, on every route.
 
 The external potential and the interaction are real, so H(-k) = H(k)*: a
 band structure solves only k >= 0 and fills each -k result by complex
@@ -152,6 +161,27 @@ def _occupied_count(n_electrons: int) -> int:
     if n_electrons % 2 != 0:
         raise ValueError("closed-shell solver requires an even electron count (or N = 1)")
     return n_electrons // 2
+
+
+def _fock_on_orbitals(system: ModelSystem, h_occ: np.ndarray, occ: np.ndarray) -> np.ndarray:
+    """F[gamma] psi from the occupied orbitals alone, gamma = psi psi^H, stacked over momenta.
+
+    ``occ`` (..., g, nocc) holds the orbitals psi_a and ``h_occ`` the products
+    h psi.  With n = 2 sum_a |psi_a|^2 and q_ab = v (psi_a^* psi_b),
+    F psi_b = h psi_b + w (v n) psi_b - w sum_a psi_a q_ab, so no g x g
+    operator is formed.  The pair products take one product with v per
+    momentum: a row inside a larger GEMM may round differently, which would
+    make a momentum's result depend on its stack neighbours.
+    """
+    if system.n_electrons == 1:
+        return h_occ  # both self-interaction terms vanish for a lone electron
+    w = system.grid.spacing
+    v = system.interaction_kernel
+    nocc = occ.shape[-1]
+    pairs = occ.conj()[..., :, None] * occ[..., None, :]
+    q = (v @ pairs.reshape(occ.shape[:-1] + (nocc * nocc,))).reshape(occ.shape + (nocc,))
+    hartree = 2.0 * np.real(np.trace(q, axis1=-2, axis2=-1))  # v n
+    return h_occ + w * (hartree[..., None] * occ - np.einsum("...ia,...iab->...ib", occ, q))
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -297,7 +327,10 @@ class _PulayHistory:
         valid = self.valid[rows]
         while True:
             a = self._bordered(b, valid)
-            bad = (np.linalg.cond(a) > _DIIS_MAX_COND) & (np.sum(valid, axis=1) > 1)
+            # a is symmetric, so its 2-norm condition number is max|lambda| / min|lambda|
+            lam = np.abs(np.linalg.eigvalsh(a))
+            ill = np.max(lam, axis=1) > _DIIS_MAX_COND * np.min(lam, axis=1)
+            bad = ill & (np.sum(valid, axis=1) > 1)
             if not np.any(bad):
                 break
             oldest = np.argmin(np.where(valid, self.stamp, np.iinfo(int).max), axis=1)
@@ -325,11 +358,17 @@ def _scf(
 ) -> list[SCFResult]:
     """Lockstep Pulay-DIIS SCF over a stack of momenta; one result per momentum.
 
-    Every momentum starts from its core-Hamiltonian orbitals, or from the
-    first n_occ columns of ``guess_orbitals`` when given.  Each momentum
-    stops updating once its residual, the Frobenius norm of the commutator
-    F P - P F of its Fock operator with the occupied-space projector
-    P = gamma * spacing, drops below ``tol``.  The reported
+    Every momentum starts from its lowest core-Hamiltonian orbitals, or from
+    the first n_occ columns of ``guess_orbitals`` when given.  Where the
+    Rayleigh-quotient route applies (one occupied orbital, at least
+    ``_LOWEST_ORBITAL_MIN_POINTS`` points), a complex stack finds that
+    orbital with :func:`_lowest_orbital` from the real zone-centre core
+    orbital times e^{ik(x - x0)}, x0 the first grid point, so no complex
+    ``eigh`` of the core stack is made; elsewhere a full ``eigh`` gives it.
+    Each iterate's F[gamma] psi comes from :func:`_fock_on_orbitals`.  Each
+    momentum stops updating once its residual, the Frobenius norm of the
+    commutator F P - P F of its Fock operator with the occupied-space
+    projector P = gamma * spacing, drops below ``tol``.  The reported
     eigenpairs and Fock operator are those of the un-extrapolated F[gamma] at
     the last density.
 
@@ -359,7 +398,15 @@ def _scf(
 
     h = np.stack([core_hamiltonian(system, k) for k in momenta])
     nk = h.shape[0]
-    if guess_orbitals is None:
+    lowest_route = nocc == 1 and g >= _LOWEST_ORBITAL_MIN_POINTS
+    if guess_orbitals is None and lowest_route and np.iscomplexobj(h):
+        # the real zone-centre core orbital times the Bloch ramp seeds the
+        # Rayleigh-quotient route, in place of a complex eigh of the stack
+        centre = np.linalg.eigh(core_hamiltonian(system, 0.0))[1][:, 0]
+        x = system.grid.points
+        ramp = np.exp(1j * np.multiply.outer(momenta, x - x[0]))
+        psi = _lowest_orbital(h, centre * ramp) / np.sqrt(w)
+    elif guess_orbitals is None:
         psi = np.linalg.eigh(h)[1][..., :nocc] / np.sqrt(w)
     else:
         guess = np.asarray(guess_orbitals)[:, :nocc]
@@ -374,12 +421,13 @@ def _scf(
 
     for iteration in range(1, max_iter + 1):
         occ = psi[active]
-        f_occ = fock_of(h_active, occ @ _adjoint(occ))[2] @ occ
+        h_occ = h_active @ occ
+        f_occ = _fock_on_orbitals(system, h_occ, occ)
         err = f_occ - occ @ (_adjoint(occ) @ f_occ * w)
         residual = w * np.sqrt(np.maximum(history.push(active, occ, err), 0.0))
         # E = (occupation / 2) Tr[(h + F) gamma] * spacing
         energy = 0.5 * occ_factor * w * np.real(
-            np.sum(occ.conj() * (h_active @ occ + f_occ), axis=(-2, -1))
+            np.sum(occ.conj() * (h_occ + f_occ), axis=(-2, -1))
         )
         for i, r, e in zip(active, residual, energy):
             residuals[i].append(float(r))
@@ -393,7 +441,7 @@ def _scf(
         kernel = history.extrapolated_kernel(active, history.coefficients(active))
         fock = fock_of(h_active, kernel)[2]
         del kernel
-        if nocc == 1 and g >= _LOWEST_ORBITAL_MIN_POINTS:
+        if lowest_route:
             vectors = _lowest_orbital(fock, psi[active, :, 0] * np.sqrt(w))
         else:
             vectors = _fix_phases(np.linalg.eigh(fock)[1][..., :nocc])

@@ -511,6 +511,11 @@ def exact_reduced_density_matrix(state: NBodyWavefunction, order: int) -> Densit
     rho = D D^H.  This equals the first-quantized contraction over the
     remaining N - n coordinates with the N!/(N-n)! prefactor, so the trace
     over ordered tuples reproduces that normalization.
+
+    Every determinant has the state's alpha count, so row p of D is nonzero
+    only on the strings whose alpha count is the state's less the alpha
+    orbitals in p.  Rows that remove different alpha counts therefore never
+    meet, and rho is formed block by block, one product per removed alpha count.
     """
     n = state.n_electrons
     if not 1 <= order <= n:
@@ -521,10 +526,21 @@ def exact_reduced_density_matrix(state: NBodyWavefunction, order: int) -> Densit
     d[0, _string_rank(state.determinants, m)] = state.coefficients
     for remaining in range(n, n - order, -1):
         d = _annihilate(d, m, remaining)
+    alpha = np.arange(m) < m // 2
+    removed = np.zeros(1, dtype=int)  # alpha orbitals in each row's tuple, p1 slowest
+    for _ in range(order):
+        removed = (removed[:, None] + alpha).ravel()
+    n_alpha = np.sum(alpha[state.determinants[0]])
+    string_alpha = np.sum(alpha[_strings(m, n - order)], axis=1)
+    rho = np.zeros((d.shape[0], d.shape[0]), dtype=complex)
+    for count in range(order + 1):
+        rows = np.flatnonzero(removed == count)
+        block = d[rows][:, string_alpha == n_alpha - count]
+        rho[rows[:, None], rows] = block @ block.conj().T
     return DensityMatrix(
         order=order,
         n_electrons=n,
-        matrix=d @ d.conj().T,
+        matrix=rho,
         dim_single=m,
         weight=1.0,
         basis=ORBITAL,

@@ -30,9 +30,16 @@ def random_hermitian(dim, seed, scale=1.0):
 
 
 def reference_free_green(h, omegas, eta):
-    """One inverse per frequency: the unblocked route."""
+    """One inverse per frequency: an independent route."""
     eye = np.eye(h.shape[0])
     return np.array([np.linalg.inv((w + 1j * eta) * eye - h) for w in omegas])
+
+
+def spectral_free_green(h, omegas, eta):
+    """U diag(1 / (w + i eta - lambda)) U^H one frequency at a time: the unblocked route."""
+    levels, u = np.linalg.eigh(h)
+    u_h = u.conj().T
+    return np.array([(u * (1.0 / ((w + 1j * eta) - levels))) @ u_h for w in omegas])
 
 
 def reference_dyson(g0, kernels, tol=1e-10):
@@ -294,6 +301,16 @@ class TestSpectralFunction:
         expect = max(np.min(np.abs(peaks - e)) for e in levels)
         assert peak_alignment_error(g.omegas, a, levels) == expect
 
+    def test_free_spectral_function_is_lehmann_sum(self):
+        # -Im Tr G0 / pi of a 64-point operator against the sum over its levels;
+        # measured at most 3.9e-12 relative over five seeds: the imaginary part
+        # of each diagonal product carries the rounding of the far larger real part
+        h = random_hermitian(64, seed=64)
+        omegas = np.linspace(-25, 25, 2001)
+        weights = free_green(h, omegas, eta=1e-2).spectral_function()
+        expect = lehmann_spectral_function(np.linalg.eigvalsh(h), omegas, 1e-2)
+        np.testing.assert_allclose(weights, expect, rtol=1e-11, atol=0)
+
     def test_plateau_and_short_grids(self):
         omegas = np.arange(7.0)
         spectral = np.array([0.0, 1.0, 1.0, 0.5, 2.0, 2.0, 3.0])
@@ -316,7 +333,13 @@ class TestBlockedFrequencyAxis:
         h = random_hermitian(dim, seed=dim)
         omegas = np.linspace(-3, 3, count)
         g = free_green(h, omegas, eta=1e-2)
-        np.testing.assert_array_equal(g.matrices, reference_free_green(h, omegas, 1e-2))
+        # blocking changes no bit of the closed form
+        np.testing.assert_array_equal(g.matrices, spectral_free_green(h, omegas, 1e-2))
+        # against per-frequency inversion: at most 5.3e-13 of each frequency's
+        # largest element, measured over d = 2 ... 64 and five seeds each
+        inverted = reference_free_green(h, omegas, 1e-2)
+        scale = np.max(np.abs(inverted), axis=(1, 2))
+        assert np.all(np.max(np.abs(g.matrices - inverted), axis=(1, 2)) <= 2e-12 * scale)
 
     @pytest.mark.parametrize("dim,count", SHAPES)
     def test_dyson_solve_matches_reference(self, dim, count):

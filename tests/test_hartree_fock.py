@@ -398,6 +398,40 @@ class TestComplexOrbitals:
         assert all(res.monotone_after_3 for res in bands.scf_results)
 
 
+class TestOrbitalRoute:
+    """F[gamma] psi from orbital products against the assembled g x g operator."""
+
+    @staticmethod
+    def _operator_times_orbitals(system, h, occ):
+        kernel = occ @ hartree_fock._adjoint(occ)
+        occupation = 1.0 if system.n_electrons == 1 else 2.0
+        density = occupation * np.real(np.diagonal(kernel, axis1=-2, axis2=-1))
+        return hartree_fock._mean_field(system, h, density, kernel)[2] @ occ
+
+    @pytest.mark.parametrize("n_electrons", [1, 2, 4, 6])
+    def test_complex_stack_matches_operator(self, n_electrons):
+        # nocc = 1, 1, 2 and 3; the lone electron has no mean field
+        system = build_soft_coulomb_system((16, 0.5), 2.0, 1.0, n_electrons, PERIODIC, kpoints=6)
+        nocc = hartree_fock._occupied_count(n_electrons)
+        g, w = system.grid.npoints, system.grid.spacing
+        h = np.stack([core_hamiltonian(system, float(k)) for k in system.kgrid])
+        rng = np.random.default_rng(n_electrons)
+        a = rng.normal(size=(len(h), g, nocc)) + 1j * rng.normal(size=(len(h), g, nocc))
+        occ = np.linalg.qr(a)[0] / np.sqrt(w)
+        got = hartree_fock._fock_on_orbitals(system, h @ occ, occ)
+        expect = self._operator_times_orbitals(system, h, occ)
+        assert np.max(np.abs(got - expect)) < 1e-13
+        assert np.max(np.abs(expect)) > 1.0
+
+    def test_real_box_matches_operator(self):
+        system = build_soft_coulomb_system((16, 0.5), 2.0, 1.0, 4, BOX)
+        h = core_hamiltonian(system)[None]
+        occ = np.linalg.eigh(h)[1][..., :2] / np.sqrt(system.grid.spacing)
+        got = hartree_fock._fock_on_orbitals(system, h @ occ, occ)
+        assert not np.iscomplexobj(got)
+        assert np.max(np.abs(got - self._operator_times_orbitals(system, h, occ))) < 1e-13
+
+
 def _fix_phases_loop(vectors):
     """Per-column reference for the stacked phase convention."""
     out = vectors.copy()
@@ -587,6 +621,53 @@ class TestLowestOrbital:
         assert len(caught) == 1
         assert [res.final_residual < 1e-10 for res in stack] == [True, True]
         assert [res.converged for res in stack] == [False, True]
+
+    def test_core_guess_takes_no_eigh_of_the_complex_core_stack(self, monkeypatch):
+        system = build_soft_coulomb_system((64, 0.5), 2.0, 1.0, 2, PERIODIC, kpoints=8)
+        momenta = [float(k) for k in system.kgrid if k > 0]
+        core = np.stack([core_hamiltonian(system, k) for k in momenta])
+        eigh_inputs, guesses = [], []
+        real_eigh, real_route = np.linalg.eigh, hartree_fock._lowest_orbital
+
+        def eigh_spy(a):
+            eigh_inputs.append(np.array(a))
+            return real_eigh(a)
+
+        def route_spy(f, guess):
+            out = real_route(f, guess)
+            guesses.append((np.array(f), out.copy()))
+            return out
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
+        monkeypatch.setattr(hartree_fock, "_lowest_orbital", route_spy)
+        hartree_fock._scf(system, momenta, 500, 1e-10)
+        monkeypatch.undo()
+        # the seed is the real zone-centre core orbital; no core matrix at k > 0
+        # reaches eigh, alone or in a stack
+        assert any(not np.iscomplexobj(a) and a.ndim == 2 for a in eigh_inputs)
+        for a in eigh_inputs:
+            matrices = a.reshape(-1, *a.shape[-2:])
+            assert not any(np.array_equal(m, c) for m in matrices for c in core)
+        # the first route call solves the core stack: its result is the lowest column
+        f, guess = guesses[0]
+        assert np.array_equal(f, core)
+        assert np.max(np.abs(guess - _eigh_lowest(core))) < 1e-12
+
+    @pytest.mark.parametrize(
+        "n_electrons,kpoints,depth", [(1, 8, 2.0), (2, 3, 2.0), (2, 8, 1.0), (2, 16, 2.2)]
+    )
+    def test_core_guess_keeps_iteration_counts(self, monkeypatch, n_electrons, kpoints, depth):
+        # against the complex eigh of the core stack and an eigh every step
+        system = build_soft_coulomb_system(
+            (64, 0.5), depth, 1.0, n_electrons, PERIODIC, kpoints=kpoints
+        )
+        routed = band_structure(system)
+        monkeypatch.setattr(hartree_fock, "_LOWEST_ORBITAL_MIN_POINTS", 65)
+        reference = band_structure(system)
+        assert np.all(routed.converged_per_k)
+        for a, b in zip(routed.scf_results, reference.scf_results):
+            assert (a.iterations, a.converged) == (b.iterations, b.converged)
+        assert np.max(np.abs(routed.bands - reference.bands)) < 1e-12
 
     def test_route_matches_eigh_on_a_large_cell(self, monkeypatch):
         system = build_soft_coulomb_system((64, 0.5), 2.0, 1.0, 2, PERIODIC, kpoints=8)

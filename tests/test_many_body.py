@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -670,6 +671,28 @@ class TestReducedDensityMatrices:
         for order in range(1, n_elec + 1):
             rho = exact_reduced_density_matrix(state, order).matrix
             assert np.max(np.abs(rho - reference_density_matrix(state, order))) < 1e-13
+
+    @pytest.mark.parametrize(
+        "n_elec,cutoff,sz,complex_phase",
+        [(3, 4, None, False), (3, 4, 1.5, False), (4, 8, None, False), (4, 3, None, True)],
+    )
+    def test_spin_blocks_match_the_dense_product(self, n_elec, cutoff, sz, complex_phase):
+        # rho is assembled from one product per removed alpha count; the dense
+        # D D^H over every string pair is the reference, complex amplitudes included
+        system = build_soft_coulomb_system((16, 0.5), 2.0, 1.0, n_elec, BOX)
+        _, state = full_ci_ground_state(system, orbital_cutoff=cutoff, sz=sz)
+        if complex_phase:
+            rng = np.random.default_rng(7)
+            phases = np.exp(1j * rng.uniform(0.0, 2 * np.pi, state.coefficients.size))
+            state = dataclasses.replace(state, coefficients=state.coefficients * phases)
+            assert np.max(np.abs(state.coefficients.imag)) > 0.1
+        m = 2 * state.basis.size
+        d = np.zeros((1, math.comb(m, n_elec)), dtype=complex)
+        d[0, many_body._string_rank(state.determinants, m)] = state.coefficients
+        for order in (1, 2):
+            d = many_body._annihilate(d, m, n_elec - order + 1)
+            rho = exact_reduced_density_matrix(state, order).matrix
+            assert np.max(np.abs(rho - d @ d.conj().T)) < 1e-14
 
     def test_one_matrix_never_forms_the_amplitude_tensor(self):
         # the first-quantized route holds all m^N = 16^4 amplitudes (1.05 MB)
