@@ -1,8 +1,10 @@
 """Reduced density matrices, band projectors and the two-term energy functional.
 
-An order-n reduced matrix is stored densely over ordered n-tuples of a single
-coordinate index (grid point or spin-orbital), with a quadrature weight per
+An order-n reduced matrix is stored densely over ordered n-tuples of
+spin-orbitals, or, for order 1, over grid points, with a quadrature weight per
 coordinate so that traces reproduce their continuum normalization N!/(N-n)!.
+On the grid the order-2 matrix enters only through its diagonal, the pair
+density n2(x1, x2), held as a (g, g) array.
 :func:`energy_from_density_matrices` is the one route from density matrices
 to an energy, for a correlated state and a determinant alike.
 """
@@ -60,20 +62,13 @@ class DensityMatrix:
     def hermiticity_error(self) -> float:
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
 
-    def pair_diagonal(self) -> np.ndarray:
-        """Diagonal rho2(x1, x2; x1, x2) as a (d, d) array (order-2 only)."""
-        if self.order != 2:
-            raise ValueError("pair_diagonal requires an order-2 matrix")
-        d = self.dim_single
-        return np.diagonal(self.matrix).reshape(d, d)
-
 
 def check_matrix_size(dim: int, order: int) -> None:
     entries = (dim**order) ** 2
     if entries > _MAX_MATRIX_ENTRIES:
         raise ValueError(
             f"density matrix too large: dim {dim}^{order} squared = {entries} entries "
-            f"(limit {_MAX_MATRIX_ENTRIES}); reduce the orbital cutoff or grid"
+            f"(limit {_MAX_MATRIX_ENTRIES}); reduce the orbital cutoff"
         )
 
 
@@ -106,15 +101,16 @@ def band_projector(vector: np.ndarray) -> Projector:
 
 def energy_from_density_matrices(
     rho1: DensityMatrix,
-    rho2: DensityMatrix | None,
+    pair_density: np.ndarray | None,
     h_matrix: np.ndarray,
     v_kernel: np.ndarray,
 ) -> float:
-    """Total energy Sp(h rho1) + (1/2) Sp(v rho2) on the grid.
+    """Total energy Sp(h rho1) + (1/2) sum v n2 on the grid.
 
     ``h_matrix`` acts on point-value vectors; ``v_kernel`` is diagonal in the
-    pair coordinates, so only the pair diagonal of ``rho2`` enters.  A one
-    electron system carries no pairs and may pass ``rho2 = None``.
+    pair coordinates, so of rho2 only the pair density
+    n2(x1, x2) = rho2(x1, x2; x1, x2) enters.  A one electron system carries
+    no pairs and may pass ``pair_density = None``.
     """
     if rho1.order != 1:
         raise ValueError("rho1 must have order 1")
@@ -123,26 +119,24 @@ def energy_from_density_matrices(
         raise ValueError("one-body operator dimension mismatch with rho1")
     w = rho1.weight
     e_one = float(np.real(np.sum(h_matrix * rho1.matrix.T)) * w)  # Tr(h rho1)
-    if rho2 is None:
+    if pair_density is None:
         return e_one
-    if rho2.order != 2:
-        raise ValueError("rho2 must have order 2")
-    if rho2.dim_single != g or v_kernel.shape != (g, g):
-        raise ValueError("two-body kernel dimension mismatch with rho2")
-    diag = np.real(rho2.pair_diagonal())
-    e_two = 0.5 * float(np.sum(v_kernel * diag) * rho2.weight**2)
+    if pair_density.shape != (g, g) or v_kernel.shape != (g, g):
+        raise ValueError("two-body kernel dimension mismatch with rho1")
+    e_two = 0.5 * float(np.sum(v_kernel * pair_density) * w**2)
     return e_one + e_two
 
 
 def determinant_density_matrices(
     occupied_orbitals: np.ndarray, n_electrons: int, spacing: float
-) -> tuple[DensityMatrix, DensityMatrix | None]:
-    """Spin-summed grid rho1 and rho2 of a closed-shell determinant.
+) -> tuple[DensityMatrix, np.ndarray | None]:
+    """Spin-summed grid rho1 and pair density of a closed-shell determinant.
 
     ``occupied_orbitals`` holds quadrature-normalized spatial orbitals as
     columns; each is doubly occupied except in the one-electron case.  The
-    pair matrix follows the determinant factorization
-    rho2 = P(1',1)P(2',2) - P(1',2)P(2',1)/2 with P the spin-summed kernel.
+    pair density follows the determinant factorization
+    n2(x1, x2) = n(x1) n(x2) - |P(x1, x2)|^2 / 2 with P the spin-summed
+    kernel and n its diagonal.
     """
     phi = np.asarray(occupied_orbitals)
     g, nocc = phi.shape
@@ -165,18 +159,8 @@ def determinant_density_matrices(
     )
     if n_electrons == 1:
         return rho1, None
-    check_matrix_size(g, 2)
-    direct = np.einsum("ac,bd->abcd", p, p)
-    exch = np.einsum("ad,bc->abcd", p, p)
-    rho2 = DensityMatrix(
-        order=2,
-        n_electrons=n_electrons,
-        matrix=(direct - 0.5 * exch).reshape(g * g, g * g),
-        dim_single=g,
-        weight=spacing,
-        basis=GRID,
-    )
-    return rho1, rho2
+    n = np.real(np.diagonal(p))
+    return rho1, np.outer(n, n) - 0.5 * np.abs(p) ** 2
 
 
 # ---------------------------------------------------------------------------

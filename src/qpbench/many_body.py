@@ -563,47 +563,31 @@ def _annihilate(d: np.ndarray, m: int, k: int) -> np.ndarray:
     return out.reshape(d.shape[0] * m, -1)
 
 
-def reduced_density_matrix_on_grid(
-    state: NBodyWavefunction, order: int
-) -> DensityMatrix:
-    """Spin-traced grid-space reduced matrix of the oracle state (order 1 or 2).
+def grid_density_matrices(state: NBodyWavefunction) -> tuple[DensityMatrix, np.ndarray]:
+    """Spin-summed grid rho1 and pair density n2(x1, x2) of the oracle state.
 
     Spin orbital s m + i of :func:`exact_reduced_density_matrix` is spatial
-    orbital i with spin s (0 alpha, 1 beta), so each spin index of the
-    spin-orbital matrix is split off by a reshape to (2, m).
+    orbital i with spin s (0 alpha, 1 beta), so each spin index is split off
+    by a reshape to (2, m) and summed on the diagonal.  With R[p, q, r, s]
+    the spin-summed order-2 matrix and pair[x, (p, r)] = phi_p(x) phi_r(x)*,
+    n2 = pair R[(p, r), (q, s)] pair^T, the pair product of
+    :func:`two_body_integrals`.
     """
-    if order not in (1, 2):
-        raise ValueError("grid-space reduction implemented for orders 1 and 2")
-    rho_orb = exact_reduced_density_matrix(state, order)
     phi = state.basis.functions
     g, m = phi.shape
-    if order == 1:
-        spins = rho_orb.matrix.reshape(2, m, 2, m)
-        out = np.zeros((g, g), dtype=complex)
-        for s in (0, 1):
-            out += phi @ spins[s, :, s] @ phi.conj().T
-        result = out
-    else:
-        check_matrix_size(g, 2)
-        spins = rho_orb.matrix.reshape(2, m, 2, m, 2, m, 2, m)
-        out = np.zeros((g, g, g, g), dtype=complex)
-        for s1 in (0, 1):
-            for s2 in (0, 1):
-                block = spins[s1, :, s2, :, s1, :, s2]
-                # contract one spatial index at a time to keep intermediates small
-                step = np.einsum("ip,pqrs->iqrs", phi, block)
-                step = np.einsum("jq,iqrs->ijrs", phi, step)
-                step = np.einsum("kr,ijrs->ijks", phi, step)
-                out += np.einsum("ls,ijks->ijkl", phi, step)
-        result = out.reshape(g * g, g * g)
-    return DensityMatrix(
-        order=order,
+    spins = exact_reduced_density_matrix(state, 1).matrix.reshape(2, m, 2, m)
+    rho1 = DensityMatrix(
+        order=1,
         n_electrons=state.n_electrons,
-        matrix=result,
+        matrix=phi @ (spins[0, :, 0] + spins[1, :, 1]) @ phi.conj().T,
         dim_single=g,
         weight=state.basis.spacing,
         basis=GRID,
     )
+    spins = exact_reduced_density_matrix(state, 2).matrix.reshape(2, m, 2, m, 2, m, 2, m)
+    r = np.einsum("apbqarbs->prqs", spins).reshape(m * m, m * m)
+    pair = (phi[:, :, None] * phi.conj()[:, None, :]).reshape(g, m * m)  # [x, (p, r)]
+    return rho1, np.real(pair @ r @ pair.T)
 
 
 def natural_occupations(rho1: DensityMatrix) -> np.ndarray:

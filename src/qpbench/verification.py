@@ -32,7 +32,7 @@ from .hydrogenic import BosonSpectrumParams, boson_energy, mass_operator_limit
 from .many_body import (
     exact_reduced_density_matrix,
     full_ci_ground_state,
-    reduced_density_matrix_on_grid,
+    grid_density_matrices,
 )
 from .model_system import build_soft_coulomb_system, core_hamiltonian
 from .pipeline import band_trace_residual, run_pipeline
@@ -105,10 +105,9 @@ def check_energy_functional() -> CheckResult:
             "box",
         )
         e_ci, state = full_ci_ground_state(system, orbital_cutoff=points)
-        rho1 = reduced_density_matrix_on_grid(state, 1)
-        rho2 = reduced_density_matrix_on_grid(state, 2)
+        rho1, n2 = grid_density_matrices(state)
         e_func = energy_from_density_matrices(
-            rho1, rho2, core_hamiltonian(system), system.interaction_kernel
+            rho1, n2, core_hamiltonian(system), system.interaction_kernel
         )
         worst = max(worst, abs(e_func - e_ci))
     return _result("energy_functional_equivalence", worst, 1e-10)
@@ -173,11 +172,11 @@ def check_variational_ordering() -> CheckResult:
     for i, (gspec, depth, soft) in enumerate(fixtures):
         system = build_soft_coulomb_system(gspec, depth, soft, 2, "box")
         res = scf_solve(system)
-        rho1, rho2 = determinant_density_matrices(
+        rho1, n2 = determinant_density_matrices(
             res.orbitals[:, : res.n_occupied], 2, system.grid.spacing
         )
         e_mf = energy_from_density_matrices(
-            rho1, rho2, core_hamiltonian(system), system.interaction_kernel
+            rho1, n2, core_hamiltonian(system), system.interaction_kernel
         )
         e_ci, _ = full_ci_ground_state(system, orbital_cutoff=gspec[0])
         worst_violation = max(worst_violation, e_ci - e_mf)

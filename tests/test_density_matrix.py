@@ -12,10 +12,11 @@ from qpbench.hartree_fock import hf_total_energy, scf_solve
 from qpbench.many_body import (
     exact_reduced_density_matrix,
     full_ci_ground_state,
-    reduced_density_matrix_on_grid,
+    grid_density_matrices,
 )
 from qpbench.model_system import (
     BOX,
+    PERIODIC,
     ModelSystem,
     build_soft_coulomb_system,
     core_hamiltonian,
@@ -91,16 +92,15 @@ class TestEnergyFunctional:
         h = core_hamiltonian(system)
         levels, vectors = np.linalg.eigh(h)
         occ = vectors[:, :1] / np.sqrt(grid.spacing)
-        rho1, rho2 = determinant_density_matrices(occ, 2, grid.spacing)
-        energy = energy_from_density_matrices(rho1, rho2, h, system.interaction_kernel)
+        rho1, n2 = determinant_density_matrices(occ, 2, grid.spacing)
+        energy = energy_from_density_matrices(rho1, n2, h, system.interaction_kernel)
         assert energy == pytest.approx(2 * levels[0], abs=1e-12)
 
     def test_matches_exact_eigenvalue(self, well2):
         e_ci, state = full_ci_ground_state(well2, orbital_cutoff=12)
-        rho1 = reduced_density_matrix_on_grid(state, 1)
-        rho2 = reduced_density_matrix_on_grid(state, 2)
+        rho1, n2 = grid_density_matrices(state)
         e_func = energy_from_density_matrices(
-            rho1, rho2, core_hamiltonian(well2), well2.interaction_kernel
+            rho1, n2, core_hamiltonian(well2), well2.interaction_kernel
         )
         assert e_func == pytest.approx(e_ci, abs=1e-10)
 
@@ -115,19 +115,19 @@ class TestEnergyFunctional:
         j00 = w * w * dens @ v @ dens
         expect = 2.0 * t00 + j00
 
-        rho1, rho2 = determinant_density_matrices(hf2.orbitals[:, :1], 2, w)
-        energy = energy_from_density_matrices(rho1, rho2, h, v)
+        rho1, n2 = determinant_density_matrices(hf2.orbitals[:, :1], 2, w)
+        energy = energy_from_density_matrices(rho1, n2, h, v)
         assert energy == pytest.approx(expect, abs=1e-10)
 
     def test_linear_in_interaction(self, well2, hf2):
         w = well2.grid.spacing
         h = core_hamiltonian(well2)
         v = well2.interaction_kernel
-        rho1, rho2 = determinant_density_matrices(hf2.orbitals[:, :1], 2, w)
+        rho1, n2 = determinant_density_matrices(hf2.orbitals[:, :1], 2, w)
         e_one = energy_from_density_matrices(rho1, None, h, v)
-        base = energy_from_density_matrices(rho1, rho2, h, v) - e_one
+        base = energy_from_density_matrices(rho1, n2, h, v) - e_one
         for c in (0.25, 3.0):
-            scaled = energy_from_density_matrices(rho1, rho2, h, c * v) - e_one
+            scaled = energy_from_density_matrices(rho1, n2, h, c * v) - e_one
             assert scaled == pytest.approx(c * base, abs=1e-12)
 
     def test_complex_hermitian_one_body_is_expectation(self):
@@ -146,13 +146,18 @@ class TestEnergyFunctional:
         )
 
     def test_dimension_mismatch_rejected(self, well2, hf2):
-        rho1, rho2 = determinant_density_matrices(
+        rho1, n2 = determinant_density_matrices(
             hf2.orbitals[:, :1], 2, well2.grid.spacing
         )
+        h = core_hamiltonian(well2)
+        v = well2.interaction_kernel
         with pytest.raises(ValueError, match="dimension"):
-            energy_from_density_matrices(
-                rho1, rho2, np.eye(5), well2.interaction_kernel
-            )
+            energy_from_density_matrices(rho1, n2, np.eye(5), v)
+        # a (g - 1, g - 1) pair density or kernel would not broadcast against the other
+        with pytest.raises(ValueError, match="two-body kernel dimension"):
+            energy_from_density_matrices(rho1, n2[:-1, :-1], h, v)
+        with pytest.raises(ValueError, match="two-body kernel dimension"):
+            energy_from_density_matrices(rho1, n2, h, v[:-1, :-1])
 
 
 class TestDeterminantSplit:
@@ -162,19 +167,19 @@ class TestDeterminantSplit:
         w = well2.grid.spacing
         h = core_hamiltonian(well2)
         zero = np.zeros_like(well2.interaction_kernel)
-        rho1, rho2 = determinant_density_matrices(hf2.orbitals[:, :1], 2, w)
+        rho1, n2 = determinant_density_matrices(hf2.orbitals[:, :1], 2, w)
         one_body = energy_from_density_matrices(rho1, None, h, zero)
-        assert energy_from_density_matrices(rho1, rho2, h, zero) == one_body
+        assert energy_from_density_matrices(rho1, n2, h, zero) == one_body
 
     def test_single_electron_has_no_pairs(self):
         system = build_soft_coulomb_system((12, 0.5), 2.0, 1.0, 1, BOX)
         res = scf_solve(system)
-        rho1, rho2 = determinant_density_matrices(
+        rho1, n2 = determinant_density_matrices(
             res.orbitals[:, :1], 1, system.grid.spacing
         )
-        assert rho2 is None
+        assert n2 is None
         energy = energy_from_density_matrices(
-            rho1, rho2, core_hamiltonian(system), system.interaction_kernel
+            rho1, n2, core_hamiltonian(system), system.interaction_kernel
         )
         # a lone electron's energy is its orbital eigenvalue
         assert energy == pytest.approx(res.eigenvalues[0], abs=1e-12)
@@ -183,14 +188,12 @@ class TestDeterminantSplit:
         # one-body plus pair term against the orbital route E = Tr(h P) + E_H - E_x
         w = well2.grid.spacing
         occupied = hf2.orbitals[:, :1]
-        rho1, rho2 = determinant_density_matrices(occupied, 2, w)
+        rho1, n2 = determinant_density_matrices(occupied, 2, w)
         total = energy_from_density_matrices(
-            rho1, rho2, core_hamiltonian(well2), well2.interaction_kernel
+            rho1, n2, core_hamiltonian(well2), well2.interaction_kernel
         )
         assert total == pytest.approx(hf_total_energy(well2, occupied), abs=1e-12)
 
-
-class TestSpinZeroDensity:
     def test_matches_determinant_one_matrix(self, well2, hf2):
         w = well2.grid.spacing
         rho1, _ = determinant_density_matrices(hf2.orbitals[:, :1], 2, w)
@@ -200,24 +203,60 @@ class TestSpinZeroDensity:
         assert np.max(np.abs(rho1.matrix - 2.0 * kernel)) < 1e-10
 
 
+def bloch_determinant(n_electrons):
+    """SCF determinant at the k != 0 momentum kgrid[-2] of the 12-point, 8-k crystal."""
+    system = build_soft_coulomb_system((12, 0.5), 2.0, 1.0, n_electrons, PERIODIC, kpoints=8)
+    k = float(system.kgrid[-2])
+    res = scf_solve(system, k=k)
+    occupied = res.orbitals[:, : res.n_occupied]
+    assert k != 0.0 and np.max(np.abs(occupied.imag)) > 1e-2
+    return system, k, res, occupied
+
+
+class TestBlochDeterminant:
+    """Pair density and energy of a determinant of complex Bloch orbitals."""
+
+    def test_pair_density_sum_rule(self):
+        # integrating out x2 leaves (N - 1) n(x1); Re(P^2) in place of |P|^2 breaks it
+        for n_electrons in (2, 4):
+            system, _, _, occupied = bloch_determinant(n_electrons)
+            w = system.grid.spacing
+            rho1, n2 = determinant_density_matrices(occupied, n_electrons, w)
+            density = np.real(np.diagonal(rho1.matrix))
+            assert np.max(np.abs(n2.sum(axis=1) * w - (n_electrons - 1) * density)) < 1e-12
+
+    def test_energy_matches_orbital_route(self):
+        system, k, res, occupied = bloch_determinant(2)
+        rho1, n2 = determinant_density_matrices(occupied, 2, system.grid.spacing)
+        energy = energy_from_density_matrices(
+            rho1, n2, core_hamiltonian(system, k), system.interaction_kernel
+        )
+        assert energy == pytest.approx(hf_total_energy(system, occupied, k), abs=1e-12)
+        assert energy == pytest.approx(res.energy, abs=1e-12)
+
+
 class TestGridReducedMatrices:
+    """Grid rho1 and pair density of the oracle state, against their sum rules."""
+
     def test_grid_traces(self, well2):
         _, state = full_ci_ground_state(well2, orbital_cutoff=8)
-        rho1 = reduced_density_matrix_on_grid(state, 1)
-        rho2 = reduced_density_matrix_on_grid(state, 2)
+        rho1, _ = grid_density_matrices(state)
         assert rho1.trace() == pytest.approx(2.0, rel=1e-10)
-        assert rho2.trace() == pytest.approx(2.0, rel=1e-10)
         assert rho1.hermiticity_error() < 1e-12
 
-    def test_grid_contraction_matches_weighted_rho1(self, well2):
-        _, state = full_ci_ground_state(well2, orbital_cutoff=8)
-        rho1 = reduced_density_matrix_on_grid(state, 1)
-        rho2 = reduced_density_matrix_on_grid(state, 2)
-        # integrate out the last coordinate pair with its quadrature weight
-        d = rho2.dim_single
-        contracted = np.einsum("aibi->ab", rho2.matrix.reshape(d, d, d, d)) * rho2.weight
-        expect = (state.n_electrons - 1) * rho1.matrix
-        assert np.max(np.abs(contracted - expect)) < 1e-10
+    def test_pair_density_sum_rules(self, well2):
+        three = build_soft_coulomb_system((12, 0.5), 2.0, 1.0, 3, BOX)
+        for system, cutoff in ((well2, 8), (three, 5)):
+            _, state = full_ci_ground_state(system, orbital_cutoff=cutoff)
+            rho1, n2 = grid_density_matrices(state)
+            n = state.n_electrons
+            w = rho1.weight
+            density = np.real(np.diagonal(rho1.matrix))
+            assert np.sum(n2) * w**2 == pytest.approx(n * (n - 1), rel=1e-10)
+            # integrate out x2 with its quadrature weight
+            assert np.max(np.abs(n2.sum(axis=1) * w - (n - 1) * density)) < 1e-10
+            assert np.max(np.abs(n2 - n2.T)) < 1e-12
+            assert np.min(n2) > -1e-12
 
 
 class TestTraceIdentity:
@@ -266,8 +305,3 @@ class TestDensityMatrixContainer:
         # the normalization target N!/(N-n)! needs n <= N
         with pytest.raises(ValueError, match="exceeds the electron count"):
             DensityMatrix(order=2, n_electrons=1, matrix=np.eye(4), dim_single=2)
-
-    def test_pair_diagonal_requires_order_two(self):
-        rho = DensityMatrix(order=1, n_electrons=2, matrix=np.eye(4), dim_single=4)
-        with pytest.raises(ValueError, match="order-2"):
-            rho.pair_diagonal()

@@ -11,10 +11,10 @@ from qpbench.many_body import (
     NBodyWavefunction,
     exact_reduced_density_matrix,
     full_ci_ground_state,
+    grid_density_matrices,
     natural_occupations,
     one_body_integrals,
     orbital_basis,
-    reduced_density_matrix_on_grid,
     two_body_integrals,
 )
 from qpbench.model_system import (
@@ -742,13 +742,6 @@ class TestReducedDensityMatrices:
         expect = (state.n_electrons - 1) * rho1.matrix
         assert np.max(np.abs(contracted - expect)) < 1e-10
 
-    def test_grid_pair_matrix_over_the_size_limit_rejected(self):
-        # (54**2)**2 = 8.5e6 entries exceed the 8e6 limit; 53 points would fit
-        system = build_soft_coulomb_system((54, 0.5), 2.0, 1.0, 2, BOX)
-        _, state = full_ci_ground_state(system, orbital_cutoff=1)
-        with pytest.raises(ValueError, match="density matrix too large"):
-            reduced_density_matrix_on_grid(state, 2)
-
     def test_out_of_range_order_rejected(self, well2):
         _, state = full_ci_ground_state(well2, orbital_cutoff=4)
         with pytest.raises(ValueError, match="order"):
@@ -762,6 +755,6 @@ class TestReducedDensityMatrices:
 
     def test_natural_occupations_need_the_spin_orbital_one_matrix(self, well2):
         _, state = full_ci_ground_state(well2, orbital_cutoff=4)
-        for rho in (exact_reduced_density_matrix(state, 2), reduced_density_matrix_on_grid(state, 1)):
+        for rho in (exact_reduced_density_matrix(state, 2), grid_density_matrices(state)[0]):
             with pytest.raises(ValueError, match="order-1 orbital matrix"):
                 natural_occupations(rho)
