@@ -5,23 +5,16 @@ ground-truth oracle for density matrices, energies and mean-field comparisons.
 The m spatial orbitals give 2m spin orbitals, numbered alpha 0 ... m - 1, then
 beta m ... 2m - 1.  A determinant of fixed Sz is the product
 A+(I_a) B+(I_b) |0> of an alpha string I_a and a beta string I_b (the sorted
-spatial orbitals of each spin).  In that numbering its occupied spin orbitals
-are the alpha string followed by the shifted beta string, already ascending,
-so it carries no sign; with b beta strings it is determinant I_a b + I_b of
-its sector.  The CI matrix of a sector is built in that string-product basis
-from single-replacement string operators, and an element between two
-determinants is read from it directly.  H keeps spin flip (at
-Sz = 0) and, when the orbitals and integrals show it, reflection parity; a
-sector of at least ``_DAVIDSON_MIN_DETERMINANTS`` determinants is split into
-those symmetry blocks, each gathered straight from the string products.  A
-Davidson loop finds the lowest Ritz pair of the block with the lowest
-diagonal element, and one rule certifies it: every block, that one first
-lifted along the Ritz vector, must have a Cholesky factor once shifted
-above the Ritz value by a gap.  The dense sector matrix is formed in one
-place, for a full ``eigh`` of smaller sectors and of every sector whose
-loop or certificate fails.  Reduced density matrices of every
-order come from annihilation strings: a_pn ... a_p1 |Psi> for each ordered
-tuple p, over the (N - n)-electron strings.
+spatial orbitals of each spin); in that numbering it carries no sign, and
+with b beta strings it is determinant I_a b + I_b of its sector.
+:func:`full_ci_ground_state` runs three steps: :func:`_integrals` (orbital
+basis, t and v), :func:`_sector` (the CI matrix in the string-product basis
+and, for a large sector, its spin-flip and parity blocks) and
+:func:`_ground_pair` (a Davidson pair certified on the blocks, else the
+lowest pair of a full ``eigh`` of the dense sector matrix, which only
+:meth:`_Sector.dense` forms).  Reduced density matrices of every order come
+from annihilation strings: a_pn ... a_p1 |Psi> for each ordered tuple p,
+over the (N - n)-electron strings.
 """
 
 from __future__ import annotations
@@ -92,19 +85,20 @@ def orbital_basis(system: ModelSystem, cutoff: int) -> OrbitalBasis:
     return OrbitalBasis(functions=phi, spacing=system.grid.spacing)
 
 
-def two_body_integrals(basis: OrbitalBasis, v_kernel: np.ndarray) -> np.ndarray:
-    """Spatial Coulomb tensor <pq|v|rs> with electron 1 in p->r, electron 2 in q->s."""
-    phi = basis.functions
-    w = basis.spacing
+def _integrals(system: ModelSystem, cutoff: int):
+    """The oracle's orbital basis, t and v; raises when its N-electron space is too large.
+
+    v[p, q, r, s] = <pq|v|rs> is the spatial Coulomb tensor with electron 1 in
+    p -> r and electron 2 in q -> s, one GEMM over orbital pairs.
+    """
+    basis = orbital_basis(system, cutoff)
+    check_configuration_space(2 * basis.size, system.n_electrons)
+    phi, w = basis.functions, basis.spacing
     g, m = phi.shape
     pair = (phi[:, :, None] * phi[:, None, :]).reshape(g, m * m)  # [x, (p, r)]
-    return (w * w * (pair.T @ v_kernel @ pair)).reshape(m, m, m, m).transpose(0, 2, 1, 3)
-
-
-def one_body_integrals(basis: OrbitalBasis, system: ModelSystem) -> np.ndarray:
-    h = core_hamiltonian(system)
-    phi = basis.functions
-    return basis.spacing * (phi.T @ h @ phi)
+    v = (w * w * (pair.T @ system.interaction_kernel @ pair)).reshape(m, m, m, m)
+    t = w * (phi.T @ core_hamiltonian(system) @ phi)
+    return basis, t, v.transpose(0, 2, 1, 3)
 
 
 def _strings(m: int, n: int) -> np.ndarray:
@@ -210,34 +204,17 @@ def _excitation_matrix(ops: _StringOperators, m: int) -> np.ndarray:
     return e
 
 
-def _sector_entries(string_h: np.ndarray):
-    """Reader entries(rows, cols) of the CI matrix of a sector, from its string products.
-
-    ``string_h`` is H[I_a, J_a, I_b, J_b] of :func:`_string_hamiltonian`
-    (Knowles & Handy, Chem. Phys. Lett. 111, 315 (1984); Olsen et al.,
-    J. Chem. Phys. 89, 2185 (1988)).  Determinant d is the string pair
-    (d // b, d % b) for b beta strings, so the reader gathers H[rows][:, cols]
-    as string_h[r // b, c // b, r % b, c % b].  The indices broadcast, so no
-    index array of the size of the result is formed.
-    """
-    b = string_h.shape[2]
-
-    def entries(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        r = rows[:, None]
-        return string_h[r // b, cols // b, r % b, cols % b]
-
-    return entries
-
-
 def _string_hamiltonian(m: int, n_a: int, n_b: int, t: np.ndarray, v: np.ndarray) -> np.ndarray:
     """H[I_a, J_a, I_b, J_b] in the product basis of alpha and beta strings.
 
         H = H_a x 1 + 1 x H_b + sum_ijkl v_ijkl E^a_ik x E^b_jl,
 
     with E_ik = <I|a+_i a_k|J> a string matrix and H_a, H_b the same-spin
-    Hamiltonians of :func:`_same_spin_hamiltonian`.  The opposite-spin sum is
-    one GEMM, (a^2 x m^2)(m^2 x m^2)(m^2 x b^2) for a alpha and b beta strings
-    over m orbitals.
+    Hamiltonians of :func:`_same_spin_hamiltonian` (Knowles & Handy, Chem.
+    Phys. Lett. 111, 315 (1984); Olsen et al., J. Chem. Phys. 89, 2185
+    (1988)).  The opposite-spin sum is one GEMM,
+    (a^2 x m^2)(m^2 x m^2)(m^2 x b^2) for a alpha and b beta strings over m
+    orbitals.
     """
     ops = {k: _string_operators(m, k) for k in {n_a, n_b}}
     same = {k: _same_spin_hamiltonian(ops[k], k, t, v) for k in ops}
@@ -328,10 +305,45 @@ def _symmetry_blocks(m: int, n_a: int, n_b: int, parity) -> list:
     return blocks
 
 
+class _Sector(NamedTuple):
+    """The CI matrix of one sector, held as string products.
+
+    ``string_h`` is H[I_a, J_a, I_b, J_b] of :func:`_string_hamiltonian`, and
+    determinant d is the string pair (d // b, d % b) for b beta strings; only
+    :meth:`entries` and :meth:`dense` read that layout.  ``blocks`` are the
+    symmetry blocks of a sector of at least ``_DAVIDSON_MIN_DETERMINANTS``
+    determinants, else None.
+    """
+
+    string_h: np.ndarray
+    size: int  # determinants
+    blocks: list | None
+
+    def entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """H[rows][:, cols] as string_h[r // b, c // b, r % b, c % b], the indices broadcast."""
+        b = self.string_h.shape[2]
+        r = rows[:, None]
+        return self.string_h[r // b, cols // b, r % b, cols % b]
+
+    def dense(self) -> np.ndarray:
+        """The sector matrix in determinant order: a transposed copy of ``string_h``."""
+        return self.string_h.transpose(0, 2, 1, 3).reshape(self.size, self.size)
+
+
+def _sector(basis: OrbitalBasis, t: np.ndarray, v: np.ndarray, n_a: int, n_b: int) -> _Sector:
+    """The sector of n_a alpha and n_b beta electrons in the orbitals of ``basis``."""
+    m = basis.size
+    size = math.comb(m, n_a) * math.comb(m, n_b)
+    blocks = None
+    if size >= _DAVIDSON_MIN_DETERMINANTS:
+        blocks = _symmetry_blocks(m, n_a, n_b, _orbital_parity(basis, t, v))
+    return _Sector(_string_hamiltonian(m, n_a, n_b, t, v), size, blocks)
+
+
 def _block_matrix(entries, block: _Block) -> np.ndarray:
     """<u_j|H|u_k> = 2 w_j w_k (H[r_j, r_k] + phase_k H[r_j, r'_k]) when F H F = H.
 
-    ``entries(rows, cols)`` reads H[rows][:, cols] (:func:`_sector_entries`).
+    ``entries(rows, cols)`` reads H[rows][:, cols] (:meth:`_Sector.entries`).
     """
     b = entries(block.rows, block.rows)
     b += entries(block.rows, block.partners) * block.phase
@@ -372,22 +384,13 @@ def _lowest_eigenpair(entries, n: int, blocks: list):
         return None
     theta, y = pair
     matrices[ground] += np.outer(y, max(1.0, abs(theta)) * y)
-    if all(_exceeds(b, theta + _DAVIDSON_MIN_GAP) for b in matrices):
-        return theta, _unblock(blocks[ground], y, n)
-    return None
-
-
-def _exceeds(a: np.ndarray, shift: float) -> bool:
-    """Whether every eigenvalue of the symmetric ``a`` exceeds ``shift``; overwrites ``a``.
-
-    True when a - shift I has a Cholesky factor.
-    """
-    a[np.diag_indices(a.shape[0])] -= shift
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    for b in matrices:
+        b[np.diag_indices(b.shape[0])] -= theta + _DAVIDSON_MIN_GAP
+        try:
+            np.linalg.cholesky(b)
+        except np.linalg.LinAlgError:
+            return None
+    return theta, _unblock(blocks[ground], y, n)
 
 
 def _davidson(h: np.ndarray):
@@ -430,6 +433,20 @@ def _davidson(h: np.ndarray):
     return float(theta), x
 
 
+def _ground_pair(sector: _Sector):
+    """Lowest eigenvalue and unit eigenvector of a sector's CI matrix.
+
+    :func:`_lowest_eigenpair` on a blocked sector; a smaller sector, and one
+    whose loop or certificate fails, takes the lowest pair of one ``eigh``.
+    """
+    if sector.blocks is not None:
+        pair = _lowest_eigenpair(sector.entries, sector.size, sector.blocks)
+        if pair is not None:
+            return pair
+    eigvals, eigvecs = np.linalg.eigh(sector.dense())
+    return float(eigvals[0]), eigvecs[:, 0]
+
+
 def check_configuration_space(n_spin_orbitals: int, n_electrons: int) -> None:
     """Raise ValueError when C(n_spin_orbitals, n_electrons) exceeds ``_MAX_DETERMINANTS``."""
     n_dets = math.comb(n_spin_orbitals, n_electrons)
@@ -447,26 +464,19 @@ def full_ci_ground_state(
 ) -> tuple[float, NBodyWavefunction]:
     """Lowest eigenpair of the exact N-body Hamiltonian in the truncated orbital set.
 
-    A sector of at least ``_DAVIDSON_MIN_DETERMINANTS`` determinants is split
-    by spin flip and orbital parity (:func:`_symmetry_blocks`), each block
-    gathered from the string products, and the pair comes from
-    :func:`_lowest_eigenpair`: a Davidson loop on the block with the lowest
-    diagonal element, certified by one Cholesky rule applied to every block.
-    Smaller sectors, and every sector whose loop or certificate fails, take
-    a full ``eigh`` of the dense sector matrix, which only this function
-    forms.  The overall sign makes the largest-magnitude coefficient
-    positive.  The energy is variational: it
-    can only decrease when ``orbital_cutoff`` grows.  Only determinants of
-    total spin projection ``sz`` enter (e.g. ``sz=1.0`` for two aligned
-    electrons).  The default is the lowest-|Sz| sector, 0 for even N and +1/2
-    for odd N, which holds the exact ground state: H does not act on spin, so
-    it commutes with S+ and S-, and every spin multiplet has a member there.
+    :func:`_integrals`, :func:`_sector`, then :func:`_ground_pair`; the
+    overall sign makes the largest-magnitude coefficient positive.  The
+    energy is variational: it can only decrease when ``orbital_cutoff``
+    grows.  Only determinants of total spin projection ``sz`` enter (e.g.
+    ``sz=1.0`` for two aligned electrons).  The default is the lowest-|Sz|
+    sector, 0 for even N and +1/2 for odd N, which holds the exact ground
+    state: H does not act on spin, so it commutes with S+ and S-, and every
+    spin multiplet has a member there.
     """
     n = system.n_electrons
     if n > _MAX_ELECTRONS:
         raise ValueError(f"oracle supports N <= {_MAX_ELECTRONS}, got {n}")
-    basis = orbital_basis(system, orbital_cutoff)
-    check_configuration_space(2 * basis.size, n)
+    basis, t, v = _integrals(system, orbital_cutoff)
     if sz is None:
         sz = 0.5 * (n % 2)
     m = basis.size
@@ -474,18 +484,7 @@ def full_ci_ground_state(
     n_b = n - n_a
     if abs(n_a - 0.5 * n - sz) > 1e-12 or not (0 <= n_a <= m and 0 <= n_b <= m):
         raise ValueError("no determinants satisfy the requested spin projection")
-    t = one_body_integrals(basis, system)
-    v = two_body_integrals(basis, system.interaction_kernel)
-    string_h = _string_hamiltonian(m, n_a, n_b, t, v)
-    size = string_h.shape[0] * string_h.shape[2]
-    pair = None
-    if size >= _DAVIDSON_MIN_DETERMINANTS:
-        blocks = _symmetry_blocks(m, n_a, n_b, _orbital_parity(basis, t, v))
-        pair = _lowest_eigenpair(_sector_entries(string_h), size, blocks)
-    if pair is None:
-        eigvals, eigvecs = np.linalg.eigh(string_h.transpose(0, 2, 1, 3).reshape(size, size))
-        pair = float(eigvals[0]), eigvecs[:, 0]
-    energy, coeff = pair
+    energy, coeff = _ground_pair(_sector(basis, t, v, n_a, n_b))
     # fix the overall phase for reproducibility
     pivot = int(np.argmax(np.abs(coeff)))
     if coeff[pivot] < 0:
@@ -571,7 +570,7 @@ def grid_density_matrices(state: NBodyWavefunction) -> tuple[DensityMatrix, np.n
     by a reshape to (2, m) and summed on the diagonal.  With R[p, q, r, s]
     the spin-summed order-2 matrix and pair[x, (p, r)] = phi_p(x) phi_r(x)*,
     n2 = pair R[(p, r), (q, s)] pair^T, the pair product of
-    :func:`two_body_integrals`.
+    :func:`_integrals`.
     """
     phi = state.basis.functions
     g, m = phi.shape

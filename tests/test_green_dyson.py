@@ -425,6 +425,27 @@ def test_pipeline_residual_matches_independent_recomputation(tmp_path, monkeypat
     assert record["dyson_residual"] == recomputed
 
 
+def test_pipeline_residual_keeps_its_margin_on_a_crystal_sized_cell(tmp_path):
+    # the benchmark's crystal cell (64 points, 16 k) with the README's grid of
+    # 2000 frequencies at eta 1e-3: the solve reads about 4e-13, far below the
+    # 1e-10 flag tolerance; a route whose rounding grows with d or 1/eta
+    # (an eigh of h + Sigma in closed form read 1.8e-11 here) fails
+    config = RunConfig.from_dict(
+        {
+            "system": {"points": 64, "spacing": 0.5, "well_depth": 2.0, "softening": 1.0,
+                       "electrons": 2, "boundary": "periodic", "kpoints": 16},
+            "oracle": {"enabled": False},
+            "self_energy": {"kind": "cosine", "scale": 0.3},
+            "dyson": {"count": 2000, "eta": 1e-3},
+        }
+    )
+    report = pipeline.run_pipeline(config, tmp_path)
+    assert report["stages"]["dyson"]["status"] == "completed"
+    record = json.loads((tmp_path / "dyson.json").read_text())
+    assert record["dyson_residual"] < 2e-12
+    assert record["flagged_frequencies"] == []
+
+
 class TestLehmannSpectralFunction:
     def test_matches_dressed_propagator(self):
         h = random_hermitian(6, seed=22)

@@ -13,9 +13,7 @@ from qpbench.many_body import (
     full_ci_ground_state,
     grid_density_matrices,
     natural_occupations,
-    one_body_integrals,
     orbital_basis,
-    two_body_integrals,
 )
 from qpbench.model_system import (
     BOX,
@@ -201,11 +199,8 @@ def sector(t, v, n_a, n_b):
 
 
 def integrals(system, cutoff):
-    basis = orbital_basis(system, cutoff)
-    return (
-        one_body_integrals(basis, system),
-        two_body_integrals(basis, system.interaction_kernel),
-    )
+    """One- and two-body integrals t and v over the lowest ``cutoff`` orbitals."""
+    return many_body._integrals(system, cutoff)[1:]
 
 
 class TestDeterminantEnumeration:
@@ -602,13 +597,12 @@ class TestOracleShapeRegression:
 
     def test_gathered_blocks_equal_blocks_cut_from_the_dense_matrix(self, oracle_shape):
         system, dets, h = oracle_shape
-        t, v = integrals(system, 8)
-        parity = many_body._orbital_parity(orbital_basis(system, 8), t, v)
-        entries = many_body._sector_entries(many_body._string_hamiltonian(8, 2, 2, t, v))
-        blocks = many_body._symmetry_blocks(8, 2, 2, parity)
-        assert any(not np.array_equal(b.rows, b.partners) for b in blocks)
-        for block in blocks:
-            assert np.array_equal(many_body._block_matrix(entries, block), cut_block(h, block))
+        sector = many_body._sector(*many_body._integrals(system, 8), 2, 2)
+        assert len(sector.blocks) == 4
+        assert any(not np.array_equal(b.rows, b.partners) for b in sector.blocks)
+        for block in sector.blocks:
+            assert np.array_equal(many_body._block_matrix(sector.entries, block), cut_block(h, block))
+        assert np.array_equal(sector.dense(), h)
 
     def test_ground_state_peak_memory_stays_under_8_mb(self, oracle_shape):
         # the string products are one 784 x 784 matrix (4.9 MB); the blocks
