@@ -21,6 +21,9 @@ ORBITAL = "orbital"
 GRID = "grid"
 
 _MAX_MATRIX_ENTRIES = 8_000_000
+# entries of M - M^H that DensityMatrix.hermiticity_error forms at a time: its
+# temporaries stay near 256 KB each (complex) whatever the matrix order
+_HERMITICITY_BLOCK_ENTRIES = 1 << 14
 
 
 def normalization_target(n_electrons: int, order: int) -> float:
@@ -60,7 +63,22 @@ class DensityMatrix:
         return float(np.real(np.trace(self.matrix)) * self.weight**self.order)
 
     def hermiticity_error(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
+        """Max |M - M^H| over all entries, formed one block of rows at a time.
+
+        A block holds ``_HERMITICITY_BLOCK_ENTRIES // dim`` rows, and at least
+        one; a matrix of at most that many entries is one block.  A maximum
+        rounds nothing, so the value equals the dense max|M - M^H| bit for bit,
+        and ``np.max`` over the block maxima keeps a NaN, which Python's
+        ``max`` may drop.
+        """
+        m = self.matrix
+        dim = m.shape[0]
+        step = max(1, _HERMITICITY_BLOCK_ENTRIES // dim)
+        block_maxima = [
+            np.max(np.abs(m[start : start + step] - m[:, start : start + step].conj().T))
+            for start in range(0, dim, step)
+        ]
+        return float(np.max(block_maxima))
 
 
 def check_matrix_size(dim: int, order: int) -> None:

@@ -13,9 +13,12 @@ Phys. Lett. 73, 393 (1980); J. Comput. Chem. 3, 556 (1982)).  The residual
 and energy of an iterate need only F[gamma] psi, which
 :func:`_fock_on_orbitals` takes from orbital products without forming the
 g x g operator; only the extrapolated operator of each DIIS step and the
-final record are assembled (:func:`_mean_field`).  Each DIIS step needs only
-the occupied orbitals of the extrapolated operator.  With one occupied
-orbital on a grid of at least ``_LOWEST_ORBITAL_MIN_POINTS`` points,
+final record are assembled (:func:`_mean_field`).  A record keeps that
+operator as parts, the core operator, the Hartree potential as a (g,) vector
+and the exchange matrix, and forms their sum on each read of
+:attr:`FockOperator.total`.  Each DIIS step needs only the occupied orbitals
+of the extrapolated operator.  With one occupied orbital on a grid of at
+least ``_LOWEST_ORBITAL_MIN_POINTS`` points,
 :func:`_lowest_orbital` finds it by Rayleigh-quotient iteration from the
 previous iterate, and a complex stack (k != 0) takes its start the same way,
 from the real zone-centre core orbital times the Bloch ramp e^{ik(x - x0)}.
@@ -52,12 +55,26 @@ _AUFBAU_MAX_DEFICIT = 0.5**0.5
 
 @dataclass(frozen=True)
 class FockOperator:
-    """One-particle mean-field operator h + hartree - exchange at one momentum."""
+    """One-particle mean-field operator h + hartree - exchange at one momentum.
+
+    Stored as its parts: the core operator ``h_core`` (g, g), the local
+    Hartree potential ``hartree_potential`` (g,), the diagonal of the
+    Hartree operator, and the exchange matrix ``exchange`` (g, g).  The sum
+    is formed on each read of :attr:`total`.
+    """
 
     h_core: np.ndarray
-    hartree: np.ndarray
+    hartree_potential: np.ndarray
     exchange: np.ndarray
-    total: np.ndarray
+
+    @property
+    def total(self) -> np.ndarray:
+        """h_core - exchange + diag(hartree_potential), a new (g, g) array.
+
+        :func:`_fock_sum` forms it, as it formed the operator the SCF
+        diagonalized, so the two are equal bit for bit.
+        """
+        return _fock_sum(self.h_core, self.exchange, self.hartree_potential)
 
 
 @dataclass(frozen=True)
@@ -105,6 +122,14 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
+def _fock_sum(h: np.ndarray, exchange: np.ndarray, hartree: np.ndarray) -> np.ndarray:
+    """h - exchange + diag(hartree) as a new array, stacked over leading axes."""
+    total = h - exchange
+    diag = np.arange(h.shape[-1])
+    total[..., diag, diag] += hartree
+    return total
+
+
 def _mean_field(system: ModelSystem, h: np.ndarray, density: np.ndarray, kernel: np.ndarray):
     """Hartree potential, exchange matrix and total operator, stacked over leading axes.
 
@@ -125,10 +150,7 @@ def _mean_field(system: ModelSystem, h: np.ndarray, density: np.ndarray, kernel:
     exchange = kernel
     exchange *= v
     exchange *= w
-    total = h - exchange
-    diag = np.arange(h.shape[-1])
-    total[..., diag, diag] += hartree
-    return hartree, exchange, total
+    return hartree, exchange, _fock_sum(h, exchange, hartree)
 
 
 def build_fock(
@@ -151,8 +173,8 @@ def build_fock(
         raise ValueError("density dimensions do not match the grid")
     h = core_hamiltonian(system, k)
     kernel = np.array(rho1_full, dtype=np.result_type(rho1_full, float))
-    hartree, exchange, total = _mean_field(system, h, rho1_diag, kernel)
-    return FockOperator(h_core=h, hartree=np.diag(hartree), exchange=exchange, total=total)
+    hartree, exchange, _ = _mean_field(system, h, rho1_diag, kernel)
+    return FockOperator(h_core=h, hartree_potential=hartree, exchange=exchange)
 
 
 def _occupied_count(n_electrons: int) -> int:
@@ -485,10 +507,7 @@ def _scf(
                 n_occupied=nocc,
                 monotone_after_3=monotone,
                 fock=FockOperator(
-                    h_core=h[i],
-                    hartree=np.diag(hartree[i]),
-                    exchange=exchange[i],
-                    total=total[i],
+                    h_core=h[i], hartree_potential=hartree[i], exchange=exchange[i]
                 ),
             )
         )
@@ -520,12 +539,7 @@ def _time_reversed(res: SCFResult, k: float) -> SCFResult:
         res,
         orbitals=res.orbitals.conj(),
         momentum=k,
-        fock=replace(
-            fock,
-            h_core=fock.h_core.conj(),
-            exchange=fock.exchange.conj(),
-            total=fock.total.conj(),
-        ),
+        fock=replace(fock, h_core=fock.h_core.conj(), exchange=fock.exchange.conj()),
     )
 
 

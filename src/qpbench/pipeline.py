@@ -69,7 +69,7 @@ def band_trace_residual(bands: BandStructure, n_electrons: int, spacing: float) 
         vec = res.orbitals[:, 0] * np.sqrt(spacing)
         projectors.append(band_projector(vec))
         h_ops.append(res.fock.h_core)
-        v_ops.append(res.fock.hartree - res.fock.exchange)
+        v_ops.append(np.diag(res.fock.hartree_potential) - res.fock.exchange)
     eps0 = reference_point(bands.bands[0], n_electrons, "min")
     return trace_energy_identity(
         projectors, h_ops, v_ops, bands.bands[0], eps0, n_electrons

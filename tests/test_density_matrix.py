@@ -1,6 +1,10 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from qpbench import density_matrix
 from qpbench.density_matrix import (
     DensityMatrix,
     band_projector,
@@ -22,6 +26,7 @@ from qpbench.model_system import (
     core_hamiltonian,
     make_grid,
 )
+from qpbench.reports import density_matrix_record
 
 
 @pytest.fixture(scope="module")
@@ -269,7 +274,7 @@ class TestTraceIdentity:
         residual = trace_energy_identity(
             [band_projector(vec)],
             [res.fock.h_core],
-            [res.fock.hartree - res.fock.exchange],
+            [np.diag(res.fock.hartree_potential) - res.fock.exchange],
             np.array([res.eigenvalues[0]]),
             res.eigenvalues[0],
             1,
@@ -284,7 +289,7 @@ class TestTraceIdentity:
         residual = trace_energy_identity(
             [band_projector(vec)],
             [res.fock.h_core],
-            [res.fock.hartree - res.fock.exchange],
+            [np.diag(res.fock.hartree_potential) - res.fock.exchange],
             np.array([res.eigenvalues[0]]),
             res.eigenvalues[0],
             1,
@@ -305,3 +310,67 @@ class TestDensityMatrixContainer:
         # the normalization target N!/(N-n)! needs n <= N
         with pytest.raises(ValueError, match="exceeds the electron count"):
             DensityMatrix(order=2, n_electrons=1, matrix=np.eye(4), dim_single=2)
+
+
+# a square matrix of this order is exactly one block of the check
+ONE_BLOCK = math.isqrt(density_matrix._HERMITICITY_BLOCK_ENTRIES)
+HERMITICITY_SIZES = (1, ONE_BLOCK - 1, ONE_BLOCK, ONE_BLOCK + 1, 257, 400)
+
+
+def dense_hermiticity_error(m):
+    return float(np.max(np.abs(m - m.conj().T)))
+
+
+def near_hermitian(size, dtype, seed):
+    """A Hermitian matrix plus a perturbation whose size varies row by row."""
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(size, size))
+    if dtype is complex:
+        m = m + 1j * rng.normal(size=(size, size))
+    m = m + m.conj().T
+    return m + rng.normal(size=(size, size)) * rng.uniform(0.0, 1e-6, size=(size, 1))
+
+
+def as_density_matrix(m):
+    return DensityMatrix(order=1, n_electrons=1, matrix=m, dim_single=m.shape[0])
+
+
+class TestHermiticityError:
+    """The row-blocked check against the dense max|M - M^H| it replaces."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("size", HERMITICITY_SIZES)
+    def test_matches_the_dense_check_bit_for_bit(self, size, dtype):
+        m = near_hermitian(size, dtype, seed=size)
+        assert as_density_matrix(m).hermiticity_error() == dense_hermiticity_error(m)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("size", HERMITICITY_SIZES[1:])
+    def test_a_nan_in_the_last_block_propagates(self, size, dtype):
+        # above one block the first block is finite, so a maximum that skips
+        # NaN would read a number
+        m = near_hermitian(size, dtype, seed=size)
+        m[size - 1, size - 2] = np.nan
+        assert np.isnan(as_density_matrix(m).hermiticity_error())
+
+    def test_matches_the_dense_check_on_a_grid_rho1(self, well2):
+        _, state = full_ci_ground_state(well2, orbital_cutoff=8)
+        rho1, _ = grid_density_matrices(state)
+        assert rho1.hermiticity_error() == dense_hermiticity_error(rho1.matrix)
+
+    def test_record_needs_under_half_the_order2_matrix(self):
+        # the dense check held M^H, M - M^H and its modulus: over twice the matrix
+        system = build_soft_coulomb_system((12, 0.5), 2.0, 1.0, 2, BOX)
+        _, state = full_ci_ground_state(system, orbital_cutoff=10)
+        rho2 = exact_reduced_density_matrix(state, 2)
+        assert rho2.matrix.shape == (400, 400)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            record = density_matrix_record(rho2, "hash")
+            extra = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert record["hermiticity_error"] == dense_hermiticity_error(rho2.matrix)
+        assert extra < rho2.matrix.nbytes / 2

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from qpbench.model_system import (
     core_hamiltonian,
     make_grid,
 )
+from qpbench.pipeline import band_trace_residual
 
 
 def free_lattice(npoints=12, spacing=0.5, kpoints=8, n_electrons=2):
@@ -53,14 +56,14 @@ class TestBuildFock:
         kernel = np.outer(res.orbitals[:, 0], res.orbitals[:, 0].conj())
         fock = build_fock(system, np.real(np.diag(kernel)), kernel)
         assert np.max(np.abs(fock.total - fock.h_core)) < 1e-12
-        assert np.max(np.abs(fock.hartree - fock.exchange)) < 1e-12
-        mean_field = fock.hartree - fock.exchange
+        assert np.max(np.abs(np.diag(fock.hartree_potential) - fock.exchange)) < 1e-12
+        mean_field = np.diag(fock.hartree_potential) - fock.exchange
         assert np.max(np.abs(mean_field @ res.orbitals[:, 0])) < 1e-12
 
     def test_empty_density_gives_bare_operator(self, well2):
         g = well2.grid.npoints
         fock = build_fock(well2, np.zeros(g), np.zeros((g, g)))
-        assert np.array_equal(fock.hartree, np.zeros((g, g)))
+        assert np.array_equal(np.diag(fock.hartree_potential), np.zeros((g, g)))
         assert np.array_equal(fock.exchange, np.zeros((g, g)))
         assert np.array_equal(fock.total, fock.h_core)
 
@@ -83,7 +86,7 @@ class TestBuildFock:
                     * w
                     * w
                 )
-        value = w * phi @ fock.hartree @ phi
+        value = w * phi @ np.diag(fock.hartree_potential) @ phi
         assert value == pytest.approx(expect, abs=1e-10)
 
     def test_hermitian_at_finite_momentum(self, crystal2):
@@ -311,7 +314,9 @@ class TestBandStructure:
             assert np.array_equal(res.fock.h_core, plus.fock.h_core.conj())
             assert np.array_equal(res.fock.exchange, plus.fock.exchange.conj())
             assert np.array_equal(res.fock.total, plus.fock.total.conj())
-            assert np.array_equal(res.fock.hartree, plus.fock.hartree)
+            assert np.array_equal(
+                np.diag(res.fock.hartree_potential), np.diag(plus.fock.hartree_potential)
+            )
             assert res.residual_history == plus.residual_history
             assert res.energy_history == plus.energy_history
             assert (res.iterations, res.converged, res.energy) == (
@@ -329,6 +334,66 @@ class TestBandStructure:
         assert bands.scf_results[0].momentum == 0.0
         assert np.array_equal(bands.bands[:, 0], res.eigenvalues)
         assert np.all(bands.symmetry_residuals == 0.0)
+
+
+class TestMeanFieldRecord:
+    """The per-momentum Fock record: its parts, the sum read from them, their bytes."""
+
+    @pytest.mark.parametrize("n_electrons", [1, 2])
+    def test_total_equals_the_operator_the_scf_assembled(self, monkeypatch, n_electrons):
+        # 5 momenta: the zone centre alone, two in a stack and their -k fills
+        system = build_soft_coulomb_system((12, 0.5), 2.0, 1.0, n_electrons, PERIODIC, kpoints=5)
+        assembled = []
+        real_mean_field = hartree_fock._mean_field
+
+        def mean_field_spy(model, h, density, kernel):
+            parts = real_mean_field(model, h, density, kernel)
+            assembled.append(parts[2].copy())
+            return parts
+
+        final = {}
+        real_scf = hartree_fock._scf
+
+        def scf_spy(model, momenta, *args, **kwargs):
+            results = real_scf(model, momenta, *args, **kwargs)
+            final.update(zip(momenta, assembled[-1]))  # the record's operator comes last
+            return results
+
+        monkeypatch.setattr(hartree_fock, "_mean_field", mean_field_spy)
+        monkeypatch.setattr(hartree_fock, "_scf", scf_spy)
+        bands = band_structure(system)
+        assert sorted(final) == sorted(float(k) for k in system.kgrid if k >= 0.0)
+        for k, res in zip(system.kgrid, bands.scf_results):
+            expected = final[float(k)] if k >= 0.0 else final[-float(k)].conj()
+            assert np.array_equal(res.fock.total, expected)
+
+    def test_crystal_record_keeps_two_operators_per_momentum(self):
+        # the benchmark's crystal cell: 64 points, 16 momenta, N = 2
+        system = build_soft_coulomb_system((64, 0.5), 2.0, 1.0, 2, PERIODIC, kpoints=16)
+        bands = band_structure(system)
+        g, nk = system.grid.npoints, system.kgrid.size
+        buffers = {}  # every array a record's fields keep alive, by identity
+        for res in bands.scf_results:
+            for field in dataclasses.fields(res.fock):
+                part = getattr(res.fock, field.name)
+                while part.base is not None:
+                    part = part.base
+                buffers[id(part)] = part.nbytes
+        # h_core and exchange as complex g x g matrices, and a g vector
+        assert sum(buffers.values()) <= nk * (2 * g * g + g) * 16
+
+    def test_band_trace_residual_reads_the_potential_as_a_diagonal(self, crystal2):
+        bands = band_structure(crystal2)
+        w = crystal2.grid.spacing
+        assert band_trace_residual(bands, 2, w) < 1e-12
+        # the (g,) potential minus the (g, g) exchange broadcasts over rows
+        # without an error, and moves every band-0 expectation by order one
+        for res in bands.scf_results:
+            psi = res.orbitals[:, 0] * np.sqrt(w)
+            fock = res.fock
+            diagonal = psi.conj() @ (np.diag(fock.hartree_potential) - fock.exchange) @ psi
+            broadcast = psi.conj() @ (fock.hartree_potential - fock.exchange) @ psi
+            assert abs(broadcast - diagonal) > 1.0
 
 
 def _random_kernel(g, rank, rng):
